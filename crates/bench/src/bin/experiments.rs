@@ -1629,7 +1629,7 @@ fn learning_matrix(
                 InnetOptions::CMPG,
                 o.seeds.min(3),
             );
-            let learn_stats: Vec<RunStats> = (0..o.seeds.min(3))
+            let learn_stats: Vec<Outcome> = (0..o.seeds.min(3))
                 .map(|s| {
                     let sc = bench.scenario(
                         *true_r,
@@ -1811,7 +1811,7 @@ fn fig13(o: &Opts) {
                     kb(st.total_traffic_bytes() as f64),
                     kb(st.base_load_bytes() as f64),
                     kb(st.max_node_load_bytes() as f64),
-                    st.results as f64,
+                    st.results_total() as f64,
                 )
             })
             .collect();
@@ -1852,15 +1852,15 @@ fn fig14(o: &Opts) {
                 SEED_BASE + seed,
             );
             let cs = run_stats(&sc, cycles);
-            ok_delay.push(cs.avg_delay_tx);
+            ok_delay.push(cs.avg_delay_tx());
             ok_kb.push(kb(cs.execution_traffic_bytes() as f64));
             let mut faulty = sc.session();
             faulty.step(0); // initiate, so the busiest join node is known
             if let Some(v) = faulty.busiest_join_node() {
                 faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![v]));
                 faulty.step(cycles);
-                let fs = RunStats::from(faulty.report());
-                fail_delay.push(fs.avg_delay_tx);
+                let fs = faulty.report();
+                fail_delay.push(fs.avg_delay_tx());
                 fail_kb.push(kb(fs.execution_traffic_bytes() as f64));
             }
         }

@@ -18,7 +18,7 @@ pub mod warmstart;
 
 use aspen_join::prelude::*;
 use aspen_join::Algorithm;
-use sensor_net::{NodeId, Topology};
+use sensor_net::Topology;
 use sensor_query::JoinQuerySpec;
 use sensor_workload::WorkloadData;
 
@@ -115,7 +115,7 @@ impl Bench {
         algo: Algorithm,
         opts: InnetOptions,
         seeds: u64,
-    ) -> Vec<RunStats> {
+    ) -> Vec<Outcome> {
         let jobs: Vec<u64> = crate::sweep::seed_range(seeds);
         parallel_map(jobs, |&s| {
             run_stats(&self.scenario(rates, assumed, algo, opts, s), self.cycles)
@@ -124,12 +124,12 @@ impl Bench {
 }
 
 /// Run a single-query scenario through the [`aspen_join::Session`] layer
-/// (bare wire — the figures' exact frame format) and return the classic
-/// [`RunStats`] view.
-pub fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
+/// (bare wire — the figures' exact frame format) and return its
+/// [`Outcome`].
+pub fn run_stats(sc: &Scenario, cycles: u32) -> Outcome {
     let mut session = sc.session();
     session.step(cycles);
-    RunStats::from(session.report())
+    session.report()
 }
 
 /// Simple parallel map over independent jobs (the paper ran its sweeps on
@@ -137,11 +137,6 @@ pub fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
 /// engine-side deterministic fan-out in [`sensor_sim::sweep`].
 pub fn parallel_map<T: Send + Sync, R: Send>(jobs: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     sensor_sim::sweep::parallel_map(&jobs, 0, f)
-}
-
-/// The victim for Fig 14: the busiest in-network join node of a run.
-pub fn pick_victim(run: &aspen_join::Run) -> Option<NodeId> {
-    run.busiest_join_node()
 }
 
 #[cfg(test)]

@@ -54,8 +54,8 @@ fn same_seed_same_cell_identical_metrics() {
     // Metrics implements Eq: every per-node counter must match exactly.
     assert_eq!(a.initiation, b.initiation);
     assert_eq!(a.execution, b.execution);
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.avg_delay_tx, b.avg_delay_tx);
+    assert_eq!(a.results_total(), b.results_total());
+    assert_eq!(a.avg_delay_tx(), b.avg_delay_tx());
 }
 
 /// A sweep report is identical whether the runs executed on 1 thread or N:

@@ -42,10 +42,9 @@
 //! assert_eq!(outcome.per_query.len(), 1);
 //! ```
 //!
-//! The classic report types survive as views: `From<Outcome>`
-//! conversions exist for [`RunStats`] / [`MultiRunStats`] /
-//! [`DynamicsOutcome`], so sweep code reads the unified outcome
-//! through the shapes the figures were written against.
+//! The paper's single-query figures run the same session with a
+//! [`SessionBuilder::bare_wire`] (one fixed query, no query tag on the
+//! air); [`Scenario::session`] builds one from a plain run descriptor.
 
 pub mod cache;
 pub mod centralized;
@@ -74,16 +73,13 @@ pub use federation::{
 };
 pub use msg::{Msg, Pair};
 pub use multi::{
-    Lifecycle, MultiMsg, MultiNode, MultiOutcome, MultiRun, MultiRunStats, QueryInstance, QuerySet,
-    QueryStats, Sharing,
+    Lifecycle, MultiMsg, MultiNode, MultiRun, QueryInstance, QuerySet, QueryStats, Sharing,
 };
 pub use node::{JoinNode, RecoveryStats};
 pub use optimize::{
     greedy, left_deep, optimize, sigmas_diverged, uniform_sigmas, Plan, PlanNode, PlanSpace,
 };
-pub use scenario::{
-    oracle_graph_result_count, oracle_result_count, DynamicsOutcome, Run, RunStats, Scenario,
-};
+pub use scenario::{oracle_graph_result_count, oracle_result_count, Scenario};
 pub use session::{
     CycleView, EventLog, GraphId, Observer, Outcome, Phase, QueryId, Session, SessionBuilder,
     SessionEvent,
@@ -100,15 +96,10 @@ pub mod prelude {
     pub use crate::federation::{
         CrossId, CrossMode, Federation, FederationBuilder, FederationOutcome,
     };
-    pub use crate::multi::{
-        Lifecycle, MultiOutcome, MultiRun, MultiRunStats, QueryInstance, QuerySet, QueryStats,
-        Sharing,
-    };
+    pub use crate::multi::{Lifecycle, MultiRun, QueryInstance, QuerySet, QueryStats, Sharing};
     pub use crate::node::RecoveryStats;
     pub use crate::optimize::{greedy, left_deep, optimize, Plan, PlanSpace};
-    pub use crate::scenario::{
-        oracle_graph_result_count, oracle_result_count, DynamicsOutcome, Run, RunStats, Scenario,
-    };
+    pub use crate::scenario::{oracle_graph_result_count, oracle_result_count, Scenario};
     pub use crate::session::{
         CycleView, EventLog, GraphId, Observer, Outcome, Phase, QueryId, Session, SessionBuilder,
         SessionEvent,

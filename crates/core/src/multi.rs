@@ -6,31 +6,37 @@
 //! configuration, pair state, operator placement and adaptation — over a
 //! single topology, workload and routing substrate, contending for every
 //! node's shared MAC budget (and, optionally, energy budget) in one
-//! engine.
+//! engine. Every [`crate::Session`] runs on it, the single-query figure
+//! runs included.
 //!
 //! Architecture: the engine stays single-protocol. [`MultiNode`] is a
 //! wrapper protocol hosting one [`JoinNode`] instance per query at every
-//! node; inner protocol callbacks run in a sandboxed context
-//! ([`sensor_sim::Ctx::sandbox`]) and their emissions are re-framed as
-//! query-tagged [`MultiMsg`] frames. Each query is an engine *flow*
-//! (query `q` → flow `q + 1`), so per-query radio costs are accounted
-//! separately and [`sensor_sim::SimConfig::fair_mac`] can arbitrate the
-//! MAC budget across queries.
+//! node; each inner message is re-framed as a query-tagged [`MultiMsg`]
+//! frame. Each query is an engine *flow* (query `q` → flow `q + 1`), so
+//! per-query radio costs are accounted separately and
+//! [`sensor_sim::SimConfig::fair_mac`] can arbitrate the MAC budget across
+//! queries.
 //!
 //! Two delivery disciplines ([`Sharing`]):
 //!
 //! - [`Sharing::Independent`] — each query behaves as if it were alone:
-//!   every inner message travels in its own link frame (plus a 1-byte
-//!   query tag). N queries pay N link headers even when their messages
-//!   ride the same hop in the same cycle.
+//!   every inner message travels in its own link frame (plus the query
+//!   tag), enqueued as it is sent ([`sensor_sim::Ctx::wrap`]). N queries
+//!   pay N link headers even when their messages ride the same hop in the
+//!   same cycle.
 //! - [`Sharing::SharedTree`] — queries share the routing substrate's
 //!   delivery paths *and* link frames: inner messages emitted by
 //!   co-located query instances toward the same next hop in the same
-//!   dispatch are aggregated into one [`MultiMsg::Batch`] frame (bounded
-//!   by [`MAX_AGG_PAYLOAD`]), paying one link header and one MAC slot.
-//!   Under contention this measurably beats independent delivery on base
-//!   load and total traffic — the headline experiment of
-//!   `experiments multiq`.
+//!   dispatch are staged ([`sensor_sim::Ctx::sandbox`]) and aggregated into
+//!   one [`MultiMsg::Batch`] frame (bounded by [`MAX_AGG_PAYLOAD`]), paying
+//!   one link header and one MAC slot. Under contention this measurably
+//!   beats independent delivery on base load and total traffic — the
+//!   headline experiment of `experiments multiq`.
+//!
+//! The tag is [`QUERY_TAG_BYTES`] wide, or 0 bytes on a
+//! [`crate::SessionBuilder::bare_wire`] session: one fixed query has
+//! nothing to demultiplex, so its frames are the paper's original
+//! single-query traffic byte for byte.
 //!
 //! Query lifecycle is part of the scenario: each [`QueryInstance`] has an
 //! arrival cycle and an optional departure cycle. Queries arriving at
@@ -38,20 +44,20 @@
 //! with each other); later arrivals initiate *live*, their
 //! [`crate::scenario::InitStep`]s spread over sampling cycles while the
 //! resident queries keep streaming. Lifecycle events fire at the same
-//! sampling-cycle boundaries as [`DynamicsPlan`] events (departures, then
-//! arrivals and due live-init steps, then plan kills/loss shifts) and are
-//! reported alongside them in [`MultiOutcome`].
+//! sampling-cycle boundaries as [`sensor_sim::dynamics::DynamicsPlan`]
+//! events (departures, then arrivals and due live-init steps, then plan
+//! kills/loss shifts) and are reported alongside them in the session's
+//! [`crate::Outcome`].
 
+use crate::cost::Sigma;
 use crate::msg::Msg;
-use crate::node::JoinNode;
+use crate::node::{JoinNode, RecoveryStats};
 use crate::scenario::{default_indexed_attrs, InitStep};
-use crate::shared::{AlgoConfig, Algorithm, Shared};
+use crate::shared::{AlgoConfig, Shared};
 use sensor_net::{NodeId, Topology};
 use sensor_query::JoinQuerySpec;
-use sensor_routing::ght::GpsrRouter;
 use sensor_routing::substrate::MultiTreeSubstrate;
-use sensor_sim::dynamics::DynamicsPlan;
-use sensor_sim::{Ctx, Emitted, Engine, FlowMetrics, Metrics, Protocol, SimConfig};
+use sensor_sim::{Ctx, Emitted, Engine, FlowMetrics, Protocol, SimConfig};
 use sensor_workload::WorkloadData;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -128,9 +134,9 @@ pub struct QueryInstance {
 }
 
 /// The multi-query scenario layer: N concurrent join queries over one
-/// topology + workload + substrate. The single-query [`crate::Scenario`]
-/// is the degenerate N = 1 case (kept separate so the paper's figures run
-/// on the exact original harness).
+/// topology + workload + substrate, run through
+/// [`QuerySet::session`]. The single-query [`crate::Scenario`] is the
+/// N = 1 case on the untagged wire.
 pub struct QuerySet {
     pub topo: Topology,
     pub data: WorkloadData,
@@ -164,7 +170,10 @@ pub struct MultiNode {
     pub id: NodeId,
     slots: Vec<Slot>,
     sharing: Sharing,
-    /// Emissions of the current dispatch, awaiting framing.
+    /// Wire bytes of the per-frame query tag: [`QUERY_TAG_BYTES`], or 0
+    /// on a bare-wire session.
+    tag_bytes: u32,
+    /// SharedTree emissions of the current dispatch, awaiting framing.
     staged: Vec<(u16, Emitted<Msg>)>,
     /// Frames that arrived for inactive (departed / not-yet-arrived)
     /// queries and were dropped.
@@ -172,18 +181,13 @@ pub struct MultiNode {
 }
 
 impl MultiNode {
-    pub fn new(id: NodeId, shareds: &[Arc<Shared>], sharing: Sharing) -> Self {
+    /// A node hosting no queries yet (each admission adds a slot).
+    pub fn new(id: NodeId, sharing: Sharing, tag_bytes: u32) -> Self {
         MultiNode {
             id,
-            slots: shareds
-                .iter()
-                .map(|sh| Slot {
-                    sh: sh.clone(),
-                    node: JoinNode::new(id, sh.clone()),
-                    active: false,
-                })
-                .collect(),
+            slots: Vec::new(),
             sharing,
+            tag_bytes,
             staged: Vec::new(),
             expired_frames: 0,
         }
@@ -226,8 +230,10 @@ impl MultiNode {
         r
     }
 
-    /// Dispatch one inner event to query `q` and stage its emissions;
-    /// `None` (without side effects) when the slot is inactive.
+    /// Dispatch one inner event to query `q`: independent frames go
+    /// straight onto the queue, SharedTree emissions are staged for
+    /// [`MultiNode::flush`]. `None` (without side effects) when the slot
+    /// is inactive.
     fn deliver<R>(
         &mut self,
         ctx: &mut Ctx<'_, MultiMsg>,
@@ -236,6 +242,10 @@ impl MultiNode {
     ) -> Option<R> {
         let slot = self.slots.get_mut(q as usize).filter(|s| s.active)?;
         let node = &mut slot.node;
+        if self.sharing == Sharing::Independent {
+            let frame = |inner| MultiMsg::One { q, inner };
+            return Some(ctx.wrap(self.tag_bytes, frame, |inner| f(node, inner)));
+        }
         let (r, emitted) = ctx.sandbox(|inner| f(node, inner));
         self.staged.extend(emitted.into_iter().map(|e| (q, e)));
         Some(r)
@@ -258,25 +268,16 @@ impl MultiNode {
         r
     }
 
-    /// Frame and enqueue everything the current dispatch staged.
-    /// Broadcasts always travel solo; unicasts aggregate per next hop in
-    /// SharedTree mode.
+    /// Frame and enqueue everything the current dispatch staged (only
+    /// SharedTree stages). Broadcasts always travel solo; unicasts
+    /// aggregate per next hop.
     fn flush(&mut self, ctx: &mut Ctx<'_, MultiMsg>) {
         if self.staged.is_empty() {
             return;
         }
         let staged = std::mem::take(&mut self.staged);
-        if self.sharing == Sharing::Independent {
-            for (q, e) in staged {
-                ctx.emit(
-                    e.to,
-                    e.payload_bytes + QUERY_TAG_BYTES,
-                    MultiMsg::One { q, inner: e.msg },
-                );
-            }
-            return;
-        }
-        // SharedTree: group unicasts by destination, preserving first-seen
+        let tag_bytes = self.tag_bytes;
+        // Group unicasts by destination, preserving first-seen
         // order; greedily pack each destination's frames under the cap.
         type Group = (Option<NodeId>, Vec<(u16, Emitted<Msg>)>);
         let mut groups: Vec<Group> = Vec::new();
@@ -285,7 +286,7 @@ impl MultiNode {
                 // Radio broadcasts travel solo (dissemination floods).
                 ctx.emit(
                     None,
-                    e.payload_bytes + QUERY_TAG_BYTES,
+                    e.payload_bytes + tag_bytes,
                     MultiMsg::One { q, inner: e.msg },
                 );
                 continue;
@@ -321,7 +322,7 @@ impl MultiNode {
                 *batch_payload = 1;
             };
             for (q, e) in frames {
-                let framed = e.payload_bytes + QUERY_TAG_BYTES;
+                let framed = e.payload_bytes + tag_bytes;
                 if batch_payload + framed > MAX_AGG_PAYLOAD && !batch.is_empty() {
                     flush_batch(&mut batch, &mut batch_payload, ctx);
                 }
@@ -447,87 +448,6 @@ pub struct QueryStats {
     pub flow: FlowMetrics,
 }
 
-/// Aggregate + per-query statistics of a [`QuerySet`] run.
-#[derive(Debug, Clone)]
-pub struct MultiRunStats {
-    pub per_query: Vec<QueryStats>,
-    /// Traffic during the cycle-0 initiation phase (all arriving queries
-    /// contending).
-    pub initiation: Metrics,
-    /// Traffic during execution (including live initiations of late
-    /// arrivals).
-    pub execution: Metrics,
-    /// Execution traffic of cross-query aggregate frames (flow 0; zero in
-    /// independent mode).
-    pub shared_flow: FlowMetrics,
-    pub base: NodeId,
-    /// Frames dropped at arrival because their query had departed.
-    pub expired_frames: u64,
-}
-
-impl MultiRunStats {
-    pub fn results_total(&self) -> u64 {
-        self.per_query.iter().map(|q| q.results).sum()
-    }
-
-    pub fn total_traffic_bytes(&self) -> u64 {
-        self.initiation.total_tx_bytes() + self.execution.total_tx_bytes()
-    }
-
-    pub fn total_traffic_msgs(&self) -> u64 {
-        self.initiation.total_tx_msgs() + self.execution.total_tx_msgs()
-    }
-
-    pub fn base_load_bytes(&self) -> u64 {
-        self.initiation.load_bytes(self.base) + self.execution.load_bytes(self.base)
-    }
-
-    pub fn base_load_msgs(&self) -> u64 {
-        self.initiation.load_msgs(self.base) + self.execution.load_msgs(self.base)
-    }
-
-    pub fn max_node_load_bytes(&self) -> u64 {
-        let mut combined = self.initiation.clone();
-        combined.absorb(&self.execution);
-        combined.max_load_bytes()
-    }
-
-    /// Result-weighted mean delay across queries.
-    pub fn avg_delay_tx(&self) -> f64 {
-        let total: u64 = self.results_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.per_query
-            .iter()
-            .map(|q| q.avg_delay_tx * q.results as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-}
-
-/// What a dynamics-driven multi-query execution did.
-#[derive(Debug, Clone, Default)]
-pub struct MultiOutcome {
-    /// `(cycle, node)` for every node that died mid-run: plan kills and
-    /// energy-budget depletions alike (both are propagated to every
-    /// query's liveness oracle).
-    pub killed: Vec<(u32, NodeId)>,
-    /// Messages discarded from dead nodes' queues (plan kills + energy
-    /// depletions).
-    pub queued_msgs_lost: u64,
-    /// `(cycle, query)` lifecycle events that fired (arrivals and
-    /// departures actually reached within the run).
-    pub arrivals: Vec<(u32, usize)>,
-    pub departures: Vec<(u32, usize)>,
-    /// Queries whose live initiation did not finish before the run ended
-    /// (arrival too close to the last cycle for the full
-    /// [`LIVE_INIT_SPACING`]-spaced step schedule). Their near-zero
-    /// results are a truncation artifact, not an algorithmic effect —
-    /// size `cycles ≥ arrival + steps * LIVE_INIT_SPACING` to avoid it.
-    pub unfinished_inits: Vec<usize>,
-}
-
 /// Snapshot of a query's base-station counters at departure (or run end).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BaseSnapshot {
@@ -535,7 +455,9 @@ pub(crate) struct BaseSnapshot {
     pub(crate) delay_sum: u64,
 }
 
-/// A prepared multi-query run.
+/// The engine a [`crate::Session`] drives: one [`MultiNode`] per node
+/// over a shared substrate, plus the run-level ledgers that outlive any
+/// one query.
 pub struct MultiRun {
     pub engine: Engine<MultiNode>,
     pub shareds: Vec<Arc<Shared>>,
@@ -548,81 +470,54 @@ pub struct MultiRun {
     /// Master death ledger: every node that died so far, so queries
     /// admitted later inherit the deaths regardless of query population.
     dead: Mutex<HashSet<NodeId>>,
-    lifecycles: Vec<Lifecycle>,
-    init_metrics: Option<Metrics>,
-    init_cycles: u64,
-    /// Filled at departure; live queries are snapshotted by `stats`.
-    snapshots: Vec<Option<BaseSnapshot>>,
-    /// Live-initiation steps pending for late arrivals:
-    /// `(fire_cycle, query, step, )`.
-    pending_steps: Vec<(u32, usize, InitStep)>,
     /// §7 recovery counters carried by retired queries' protocol state
     /// (deactivation replaces each node's slot with fresh state, so the
     /// counters are absorbed here to keep network totals monotone).
-    retired_recovery: crate::node::RecoveryStats,
+    retired_recovery: RecoveryStats,
     /// Migration adoptions of retired queries (same monotonicity need —
     /// the session's observer diffing relies on it).
-    pub(crate) retired_migrations: u64,
+    retired_migrations: u64,
     /// `WindowXfer` bytes of retired queries (same monotonicity need).
-    pub(crate) retired_xfer_bytes: u64,
+    retired_xfer_bytes: u64,
 }
 
-impl QuerySet {
-    /// Construct the engine: one shared substrate, one [`Shared`] context
-    /// per query, one [`MultiNode`] per node.
-    pub fn build(&self) -> MultiRun {
+impl MultiRun {
+    /// Construct the engine with no queries: builds the substrate offline
+    /// (routing-tree construction is excluded from query costs, as in
+    /// Table 3) and one empty [`MultiNode`] per node framing with a
+    /// `tag_bytes`-wide query tag.
+    pub(crate) fn new(
+        topo: Topology,
+        data: WorkloadData,
+        sim: SimConfig,
+        num_trees: usize,
+        sharing: Sharing,
+        tag_bytes: u32,
+    ) -> MultiRun {
         let sub = Arc::new(MultiTreeSubstrate::build(
-            &self.topo,
-            self.num_trees,
+            &topo,
+            num_trees,
             default_indexed_attrs(),
-            &self.data,
+            &data,
         ));
-        let shareds: Vec<Arc<Shared>> = self
-            .queries
-            .iter()
-            .map(|qi| {
-                Arc::new(Shared {
-                    topo: self.topo.clone(),
-                    sub: sub.clone(),
-                    gpsr: matches!(qi.cfg.algorithm, Algorithm::Ght)
-                        .then(|| GpsrRouter::new(&self.topo)),
-                    spec: qi.spec.clone(),
-                    data: self.data.clone(),
-                    cfg: qi.cfg,
-                    dead: Mutex::new(HashSet::new()),
-                })
-            })
-            .collect();
-        let sharing = self.sharing;
-        let mk = shareds.clone();
-        let engine = Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
-            MultiNode::new(id, &mk, sharing)
-        });
-        let n_q = self.queries.len();
+        let engine = Engine::new(topo, sim, |id| MultiNode::new(id, sharing, tag_bytes));
         MultiRun {
             engine,
-            shareds,
+            shareds: Vec::new(),
             sub,
-            data: self.data.clone(),
+            data,
             dead: Mutex::new(HashSet::new()),
-            lifecycles: self.queries.iter().map(|q| q.lifecycle).collect(),
-            init_metrics: None,
-            init_cycles: 0,
-            snapshots: vec![None; n_q],
-            pending_steps: Vec::new(),
-            retired_recovery: crate::node::RecoveryStats::default(),
+            retired_recovery: RecoveryStats::default(),
             retired_migrations: 0,
             retired_xfer_bytes: 0,
         }
     }
-}
 
-impl MultiRun {
-    fn n_queries(&self) -> usize {
+    pub(crate) fn n_queries(&self) -> usize {
         self.shareds.len()
     }
 
-    fn base(&self) -> NodeId {
+    pub(crate) fn base(&self) -> NodeId {
         self.engine.topology().base()
     }
 
@@ -633,34 +528,23 @@ impl MultiRun {
         }
     }
 
-    /// Grow the run by one query slot at every node (online admission by
-    /// the session layer). The new query shares the substrate and inherits
-    /// the already-known deaths; it starts inactive with `lifecycle`.
-    /// Returns the new slot index.
-    pub(crate) fn add_query(
-        &mut self,
-        spec: JoinQuerySpec,
-        cfg: AlgoConfig,
-        lifecycle: Lifecycle,
-    ) -> usize {
-        let topo = self.engine.topology().clone();
-        let sh = Arc::new(Shared {
-            gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(&topo)),
-            topo,
-            sub: self.sub.clone(),
+    /// Grow the run by one query slot at every node. The new query shares
+    /// the substrate and inherits the already-known deaths; it starts
+    /// inactive. Returns the new slot index.
+    pub(crate) fn add_query(&mut self, spec: JoinQuerySpec, cfg: AlgoConfig) -> usize {
+        let dead = self.dead.lock().unwrap().clone();
+        let sh = Arc::new(Shared::new(
+            self.engine.topology(),
+            self.sub.clone(),
             spec,
-            data: self.data.clone(),
+            &self.data,
             cfg,
-            // The admitted query's liveness oracle must know the nodes
-            // that died before it arrived.
-            dead: Mutex::new(self.dead.lock().unwrap().clone()),
-        });
+            dead,
+        ));
         for i in 0..self.engine.topology().len() {
             self.engine.node_mut(NodeId(i as u16)).add_slot(&sh);
         }
         self.shareds.push(sh);
-        self.lifecycles.push(lifecycle);
-        self.snapshots.push(None);
         self.shareds.len() - 1
     }
 
@@ -673,38 +557,33 @@ impl MultiRun {
         }
     }
 
-    /// Fire one initiation step of query `q` across the network.
+    /// Fire one initiation step of query `q` across the network: the flood
+    /// starts at the base alone, announcements come from every other
+    /// node, and every other step runs at all nodes. A drive into an
+    /// inactive slot is a side-effect-free no-op, so no per-node activity
+    /// guard is needed.
     pub(crate) fn apply_step(&mut self, q: usize, step: InitStep) {
-        // Same fan-out table as the bare wire (`step_calls`), wrapped in
-        // the per-query drive so emissions are framed and tagged. A drive
-        // into an inactive slot is a side-effect-free no-op, so no
-        // per-node activity guard is needed.
+        let entry: fn(&mut JoinNode, &mut Ctx<'_, Msg>) = match step {
+            InitStep::Flood => |nd, c| nd.start_flood(c),
+            InitStep::EnsureQuery => |nd, _| nd.ensure_query(),
+            InitStep::Announce => |nd, c| nd.start_announce(c),
+            InitStep::GhtRegister => |nd, c| nd.start_ght_register(c),
+            InitStep::Search => |nd, c| nd.start_search(c),
+            InitStep::FinishTSide => |nd, _| nd.finish_t_side_assigns(),
+            InitStep::GroupOpt => |nd, c| nd.start_group_opt(c),
+        };
         let base = self.base();
-        let n = self.engine.topology().len();
-        for (id, call) in crate::session::step_calls(step, base, n) {
-            match call {
-                crate::session::StepCall::WithCtx(f) => {
-                    self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, f));
-                }
-                crate::session::StepCall::Local(f) => {
-                    self.engine
-                        .with_node(id, |mn, ctx| mn.drive(ctx, q, |jn, _| f(jn)));
-                }
+        for i in 0..self.engine.topology().len() {
+            let id = NodeId(i as u16);
+            let fires = match step {
+                InitStep::Flood => id == base,
+                InitStep::Announce => id != base,
+                _ => true,
+            };
+            if fires {
+                self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, entry));
             }
         }
-    }
-
-    /// Drive the initiation of every cycle-0 query to quiescence, the
-    /// steps interleaved across queries so their control traffic contends
-    /// (the shared [`crate::session`] initiation driver; the single-query
-    /// [`crate::Run::initiate`] is its one-element case).
-    pub fn initiate(&mut self) {
-        let arrivals: Vec<usize> = (0..self.n_queries())
-            .filter(|&q| self.lifecycles[q].arrival == 0)
-            .collect();
-        let (metrics, cycles) = crate::session::drive_initiation(self, &arrivals);
-        self.init_metrics = Some(metrics);
-        self.init_cycles = cycles;
     }
 
     /// Take query `q` offline everywhere, returning its base counters.
@@ -730,45 +609,11 @@ impl MultiRun {
         snap
     }
 
-    /// Run `cycles` sampling cycles of execution with lifecycle events
-    /// only.
-    pub fn execute(&mut self, cycles: u32) -> MultiOutcome {
-        self.execute_with_plan(cycles, &DynamicsPlan::none())
-    }
-
-    /// Run execution under a dynamics plan: scheduled kills / loss shifts
-    /// fire at cycle boundaries alongside the query set's own lifecycle
-    /// events (late arrivals initiate live; departures retire their
-    /// state). Delegates to the unified [`crate::session`] cycle driver.
-    pub fn execute_with_plan(&mut self, cycles: u32, plan: &DynamicsPlan) -> MultiOutcome {
-        use crate::session::{drive_cycles, ExecState};
-        let mut st = ExecState::new(self, self.lifecycles.clone());
-        st.snapshots = std::mem::take(&mut self.snapshots);
-        st.pending_steps = std::mem::take(&mut self.pending_steps);
-        drive_cycles(self, &mut st, plan, cycles, &mut []);
-        self.engine.run_until_quiet(5_000);
-        // Live-init steps scheduled past the final cycle never fired;
-        // surface the affected queries so truncated initiations are not
-        // misread as algorithmic effects.
-        let unfinished_inits = st.unfinished_inits();
-        self.snapshots = st.snapshots;
-        self.pending_steps = st.pending_steps;
-        MultiOutcome {
-            killed: st.killed,
-            queued_msgs_lost: st.queued_msgs_lost,
-            arrivals: st.arrivals,
-            departures: st.departures,
-            unfinished_inits,
-        }
-    }
-
     /// Network-wide sum of the §7 recovery counters across every query's
     /// protocol instances, including the counters departed queries
     /// carried (absorbed at retirement; see `MultiRun::retire_query`) —
     /// totals are monotone across the whole run.
-    pub fn recovery_totals(&self) -> crate::node::RecoveryStats {
-        // Start from the counters retired queries carried out with them
-        // (see `retire_query`), then add every live instance's.
+    pub fn recovery_totals(&self) -> RecoveryStats {
         let mut total = self.retired_recovery;
         for mn in self.engine.nodes() {
             for jn in mn.query_nodes() {
@@ -778,56 +623,81 @@ impl MultiRun {
         total
     }
 
-    /// Collect aggregate + per-query statistics.
-    pub fn stats(&self) -> MultiRunStats {
-        let base = self.base();
-        let base_node = self.engine.node(base);
-        let exec = self.engine.metrics();
-        let per_query = (0..self.n_queries())
-            .map(|q| {
-                let snap = self.snapshots[q].unwrap_or_else(|| {
-                    base_node
-                        .query_node(q)
-                        .base_state()
-                        .map(|b| BaseSnapshot {
-                            results: b.results,
-                            delay_sum: b.delay_sum,
-                        })
-                        .unwrap_or_default()
-                });
-                let avg_delay = if snap.results > 0 {
-                    snap.delay_sum as f64 / snap.results as f64
-                } else {
-                    0.0
-                };
-                QueryStats {
-                    label: self.shareds[q].cfg.label(),
-                    name: self.shareds[q].spec.name.clone(),
-                    arrival: self.lifecycles[q].arrival,
-                    departure: self.lifecycles[q].departure,
-                    results: snap.results,
-                    avg_delay_tx: avg_delay,
-                    flow: exec.flow(q + 1),
-                }
+    /// Base-station counters of live query `q`.
+    pub(crate) fn live_snapshot(&self, q: usize) -> BaseSnapshot {
+        self.engine
+            .node(self.base())
+            .query_node(q)
+            .base_state()
+            .map(|b| BaseSnapshot {
+                results: b.results,
+                delay_sum: b.delay_sum,
             })
-            .collect();
-        MultiRunStats {
-            per_query,
-            initiation: self
-                .init_metrics
-                .clone()
-                .unwrap_or_else(|| Metrics::new(self.engine.topology().len())),
-            execution: exec.clone(),
-            shared_flow: exec.flow(0),
-            base,
-            expired_frames: self.engine.nodes().iter().map(|n| n.expired_frames).sum(),
+            .unwrap_or_default()
+    }
+
+    /// Results currently counted at the base across live queries.
+    pub(crate) fn live_results(&self) -> u64 {
+        (0..self.n_queries())
+            .map(|q| self.live_snapshot(q).results)
+            .sum()
+    }
+
+    /// Mean of query `q`'s learned per-pair σ estimates (component-wise)
+    /// across every join node currently holding state for it (`None`
+    /// until §6 learning has evidence). `w` is the query's window size.
+    pub(crate) fn learned_sigma(&self, q: usize, w: usize) -> Option<Sigma> {
+        let (mut s, mut t, mut st, mut n) = (0.0, 0.0, 0.0, 0u32);
+        let estimates = self
+            .engine
+            .nodes()
+            .iter()
+            .flat_map(|mn| mn.query_node(q).pairs.values())
+            .filter_map(|ps| ps.stats.estimate(w));
+        for e in estimates {
+            s += e.s;
+            t += e.t;
+            st += e.st;
+            n += 1;
         }
+        (n > 0).then(|| {
+            let n = n as f64;
+            Sigma::new(s / n, t / n, st / n)
+        })
+    }
+
+    /// Network-wide migration-adoption counter, monotone across
+    /// retirements (observer diffing).
+    pub(crate) fn migrations_total(&self) -> u64 {
+        self.retired_migrations
+            + self
+                .engine
+                .nodes()
+                .iter()
+                .flat_map(|mn| mn.query_nodes())
+                .map(|jn| jn.migrations_adopted)
+                .sum::<u64>()
+    }
+
+    /// Network-wide §6 migration control traffic: bytes put on the air
+    /// carrying `WindowXfer` frames, monotone across retirements.
+    pub(crate) fn xfer_bytes_total(&self) -> u64 {
+        self.retired_xfer_bytes
+            + self
+                .engine
+                .nodes()
+                .iter()
+                .flat_map(|mn| mn.query_nodes())
+                .map(|jn| jn.xfer_bytes)
+                .sum::<u64>()
     }
 }
 
 /// The alive non-base node serving the most join pairs across all active
-/// queries (multi-query failure-target selection).
-pub(crate) fn busiest_multi_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
+/// queries (failure-target selection, Fig 14). Takes the engine alone:
+/// the dynamics plan resolves its `Picked` victims against the engine it
+/// is firing on.
+pub(crate) fn busiest_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
     (0..engine.topology().len() as u16)
         .map(NodeId)
         .filter(|&id| id != base && engine.is_alive(id))

@@ -140,8 +140,8 @@ pub struct CoordState {
 }
 
 /// §7 recovery accounting at one node: how the failure-handling layer
-/// reacted to abandoned sends. Aggregated network-wide by the harness
-/// (`Run::recovery_totals`) into the dynamics sweeps' recovery metrics.
+/// reacted to abandoned sends. Aggregated network-wide by the session
+/// ([`crate::MultiRun::recovery_totals`]) into [`crate::Outcome::recovery`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Path repairs attempted after an abandoned in-flight data unicast.

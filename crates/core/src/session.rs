@@ -1,12 +1,8 @@
 //! The unified run-harness: one long-lived [`Session`] per network.
 //!
 //! The paper's §6–§7 contribution is *continuous* operation — queries
-//! arrive, adapt, migrate and survive failures over a long-lived network —
-//! but the original harness exposed batch-shaped entry points: a
-//! single-query [`crate::Scenario`]/[`crate::Run`] family and a parallel
-//! [`crate::QuerySet`]/[`crate::MultiRun`] stack, each with its own
-//! initiate/execute loop and stats types. This module collapses both onto
-//! one API:
+//! arrive, adapt, migrate and survive failures over a long-lived network.
+//! This module serves all of it through one API:
 //!
 //! - [`SessionBuilder`] assembles everything one network serves: topology,
 //!   workload, routing substrate, [`SimConfig`], an optional
@@ -18,46 +14,34 @@
 //! - [`Session::step`] / [`Session::run_until`] advance sampling cycles;
 //!   scheduled dynamics (kills, loss shifts, workload marks) fire at the
 //!   cycle boundaries they always did.
-//! - [`Session::report`] returns one [`Outcome`] that subsumes
-//!   [`RunStats`], [`MultiRunStats`] and [`DynamicsOutcome`] (`From`
-//!   conversions to all three are provided for the migration).
+//! - [`Session::report`] returns one [`Outcome`]: per-query rows,
+//!   phase-separated traffic, §7 recovery totals and the dynamics trace.
 //! - [`Observer`]s receive a [`CycleView`] per sampling cycle and
 //!   [`SessionEvent`]s (admissions, retirements, migrations, deaths, loss
 //!   shifts, phase transitions) — streaming telemetry instead of post-hoc
 //!   stat scraping.
 //!
-//! Internally a session drives one of two wire formats through the *same*
-//! initiation/execution drivers (the code that used to be duplicated
-//! between `scenario.rs` and `multi.rs`):
-//!
-//! - **tagged** (the default): the [`crate::MultiNode`] wrapper protocol —
-//!   every frame carries a 1-byte query tag, queries are engine flows,
-//!   admission and retirement work at any cycle.
-//! - **bare** ([`SessionBuilder::bare_wire`]): the paper's original
-//!   single-query framing with no tag byte and no wrapper. It exists so
-//!   the figure harnesses reproduce the paper's numbers bit-for-bit;
-//!   exactly one cycle-0 query, no online admission.
-//!
-//! Single-query execution is simply the one-element case of the same
-//! path; the golden-output suite proves the sweep/recovery/multiq reports
-//! are byte-identical across the redesign.
+//! Every session runs on one backend, the [`MultiRun`] engine of
+//! [`crate::MultiNode`] wrapper protocols: queries are engine flows and
+//! every frame carries a query tag. A [`SessionBuilder::bare_wire`]
+//! session sets that tag to 0 bytes — the paper's original single-query
+//! framing, which the figure harnesses use to reproduce the paper's
+//! numbers bit-for-bit — and in exchange hosts exactly one cycle-0 query
+//! with no online admission.
 
 use crate::cache::{region_of, spec_fingerprint, CacheStats, LearnedCache, Region};
 use crate::cost::Sigma;
 use crate::multi::{
-    BaseSnapshot, Lifecycle, MultiOutcome, MultiRun, MultiRunStats, QueryInstance, QuerySet,
-    QueryStats, Sharing,
+    BaseSnapshot, Lifecycle, MultiRun, QueryInstance, QuerySet, QueryStats, Sharing,
+    QUERY_TAG_BYTES,
 };
 use crate::node::{JoinNode, RecoveryStats};
 use crate::optimize::{optimize, sigmas_diverged, uniform_sigmas, Plan, PlanSpace};
-use crate::scenario::{
-    busiest_join_node_of, init_steps, reconvergence, DynamicsOutcome, InitStep, Run, RunStats,
-    Scenario,
-};
+use crate::scenario::{init_steps, reconvergence, InitStep, Scenario};
 use crate::shared::AlgoConfig;
 use sensor_net::NodeId;
 use sensor_query::{JoinGraph, JoinQuerySpec};
-use sensor_sim::dynamics::{DynamicsPlan, FireOutcome};
+use sensor_sim::dynamics::DynamicsPlan;
 use sensor_sim::{FlowMetrics, Metrics, SimConfig};
 use sensor_workload::WorkloadData;
 use std::sync::{Arc, Mutex};
@@ -167,512 +151,73 @@ impl Observer for EventLog {
 }
 
 // ----------------------------------------------------------------------
-// The host abstraction: what the shared drivers need from either wire
-// format. `Run` (bare) and `MultiRun` (tagged) implement it; the
-// initiation and execution loops below are written once against it.
-
-/// One harness-driven protocol invocation of an [`InitStep`].
-pub(crate) enum StepCall {
-    /// Entry point that may transmit (driven through the engine context).
-    WithCtx(fn(&mut JoinNode, &mut sensor_sim::Ctx<'_, crate::msg::Msg>)),
-    /// Local state fix-up, no traffic.
-    Local(fn(&mut JoinNode)),
-}
-
-/// The exact `(node, entry point)` fan-out of one initiation step. Both
-/// wire formats expand their `apply_step` from this one table, so the
-/// bare and tagged initiation sequences cannot diverge (which would
-/// silently break the byte-parity guarantee between them).
-pub(crate) fn step_calls(step: InitStep, base: NodeId, n: usize) -> Vec<(NodeId, StepCall)> {
-    let ids = || (0..n).map(|i| NodeId(i as u16));
-    match step {
-        InitStep::Flood => vec![(base, StepCall::WithCtx(|nd, c| nd.start_flood(c)))],
-        InitStep::EnsureQuery => ids()
-            .map(|id| (id, StepCall::Local(|nd| nd.ensure_query())))
-            .collect(),
-        InitStep::Announce => ids()
-            .filter(|&id| id != base)
-            .map(|id| (id, StepCall::WithCtx(|nd, c| nd.start_announce(c))))
-            .collect(),
-        InitStep::GhtRegister => ids()
-            .map(|id| (id, StepCall::WithCtx(|nd, c| nd.start_ght_register(c))))
-            .collect(),
-        InitStep::Search => ids()
-            .map(|id| (id, StepCall::WithCtx(|nd, c| nd.start_search(c))))
-            .collect(),
-        InitStep::FinishTSide => ids()
-            .map(|id| (id, StepCall::Local(|nd| nd.finish_t_side_assigns())))
-            .collect(),
-        InitStep::GroupOpt => ids()
-            .map(|id| (id, StepCall::WithCtx(|nd, c| nd.start_group_opt(c))))
-            .collect(),
-    }
-}
-
-/// Mean of a stream of σ estimates (component-wise); `None` when empty.
-fn mean_sigma(estimates: impl Iterator<Item = crate::cost::Sigma>) -> Option<crate::cost::Sigma> {
-    let (mut s, mut t, mut st, mut n) = (0.0, 0.0, 0.0, 0u32);
-    for e in estimates {
-        s += e.s;
-        t += e.t;
-        st += e.st;
-        n += 1;
-    }
-    if n == 0 {
-        None
-    } else {
-        let n = n as f64;
-        Some(crate::cost::Sigma::new(s / n, t / n, st / n))
-    }
-}
-
-pub(crate) trait Host {
-    fn n_queries(&self) -> usize;
-    fn cfg_of(&self, q: usize) -> AlgoConfig;
-    fn base(&self) -> NodeId;
-    fn topo_len(&self) -> usize;
-    /// The network the session runs on (plan optimization needs hop
-    /// distances and positions).
-    fn topology(&self) -> &sensor_net::Topology;
-    /// The sensor workload (plan optimization derives producer anchors
-    /// from static eligibility).
-    fn workload(&self) -> &WorkloadData;
-    /// Mean of query `q`'s learned per-pair σ estimates across every join
-    /// node currently holding state for it (`None` until §6 learning has
-    /// evidence). `w` is the query's window size.
-    fn learned_sigma(&self, q: usize, w: usize) -> Option<crate::cost::Sigma>;
-    /// Fire one initiation step of query `q` across the network.
-    fn apply_step(&mut self, q: usize, step: InitStep);
-    /// Bring query `q` online at every node.
-    fn activate(&mut self, q: usize);
-    /// Take query `q` offline everywhere; returns its base snapshot.
-    fn retire_query(&mut self, q: usize) -> Option<BaseSnapshot>;
-    /// Base snapshot of a live query (used by [`Outcome`] rows).
-    fn live_snapshot(&self, q: usize) -> BaseSnapshot;
-    /// Results currently counted at the base across live queries.
-    fn live_results(&self) -> u64;
-    fn busiest_join_node(&self) -> Option<NodeId>;
-    /// Propagate a death to every query's liveness oracle.
-    fn mark_dead(&self, v: NodeId);
-    fn recovery_totals(&self) -> RecoveryStats;
-    fn expired_frames(&self) -> u64;
-    /// Network-wide migration-adoption counter (observer diffing).
-    fn migrations_total(&self) -> u64;
-    /// Network-wide §6 migration control traffic: bytes put on the air
-    /// carrying `WindowXfer` frames, monotone across retirements.
-    fn xfer_bytes_total(&self) -> u64;
-    /// Per-query execution flow ([`FlowMetrics`]) for outcome rows.
-    fn query_flow(&self, q: usize, exec: &Metrics) -> FlowMetrics;
-    /// Cross-query aggregate flow (zero for the bare wire).
-    fn shared_flow(&self, exec: &Metrics) -> FlowMetrics;
-    fn query_label(&self, q: usize) -> String;
-    fn query_name(&self, q: usize) -> String;
-    /// Read access to query `q`'s protocol instance at `id`.
-    fn join_node(&self, q: usize, id: NodeId) -> &JoinNode;
-    /// Re-home a mobile leaf at `to` on the routing substrate (App. G);
-    /// returns `(delay_cycles, traffic_bytes)` of the summary updates.
-    fn move_leaf(&mut self, node: NodeId, to: sensor_net::Point) -> (u32, u64);
-    // --- engine plumbing ---
-    fn fire_plan(&mut self, cycle: u32, plan: &DynamicsPlan) -> FireOutcome;
-    fn kill_node(&mut self, v: NodeId) -> usize;
-    fn now(&self) -> u64;
-    fn run_until_quiet(&mut self, budget: u64) -> u64;
-    fn sampling_cycle(&mut self, c: u32);
-    fn metrics(&self) -> &Metrics;
-    fn reset_metrics(&mut self);
-    fn reset_clock(&mut self);
-    fn energy_depleted(&self) -> &[NodeId];
-    fn energy_msgs_dropped(&self) -> u64;
-}
-
-impl Host for Run {
-    fn n_queries(&self) -> usize {
-        1
-    }
-    fn cfg_of(&self, _q: usize) -> AlgoConfig {
-        self.shared.cfg
-    }
-    fn base(&self) -> NodeId {
-        self.shared.base()
-    }
-    fn topo_len(&self) -> usize {
-        self.engine.topology().len()
-    }
-
-    fn topology(&self) -> &sensor_net::Topology {
-        &self.shared.topo
-    }
-
-    fn workload(&self) -> &WorkloadData {
-        &self.shared.data
-    }
-
-    fn learned_sigma(&self, _q: usize, w: usize) -> Option<crate::cost::Sigma> {
-        mean_sigma(
-            self.engine
-                .nodes()
-                .iter()
-                .flat_map(|jn| jn.pairs.values())
-                .filter_map(|ps| ps.stats.estimate(w)),
-        )
-    }
-
-    fn apply_step(&mut self, _q: usize, step: InitStep) {
-        let base = self.shared.base();
-        let n = self.engine.topology().len();
-        for (id, call) in step_calls(step, base, n) {
-            match call {
-                StepCall::WithCtx(f) => self.engine.with_node(id, f),
-                StepCall::Local(f) => f(self.engine.node_mut(id)),
-            }
-        }
-    }
-
-    fn activate(&mut self, _q: usize) {
-        // The bare wire hosts its one query from construction.
-    }
-
-    fn retire_query(&mut self, _q: usize) -> Option<BaseSnapshot> {
-        unreachable!("bare-wire sessions never retire their single query")
-    }
-
-    fn live_snapshot(&self, _q: usize) -> BaseSnapshot {
-        self.engine
-            .node(self.shared.base())
-            .base_state()
-            .map(|b| BaseSnapshot {
-                results: b.results,
-                delay_sum: b.delay_sum,
-            })
-            .unwrap_or_default()
-    }
-
-    fn live_results(&self) -> u64 {
-        self.live_snapshot(0).results
-    }
-
-    fn busiest_join_node(&self) -> Option<NodeId> {
-        busiest_join_node_of(&self.engine, self.shared.base())
-    }
-
-    fn mark_dead(&self, v: NodeId) {
-        self.shared.mark_dead(v);
-    }
-
-    fn recovery_totals(&self) -> RecoveryStats {
-        Run::recovery_totals(self)
-    }
-
-    fn expired_frames(&self) -> u64 {
-        0
-    }
-
-    fn migrations_total(&self) -> u64 {
-        self.engine
-            .nodes()
-            .iter()
-            .map(|n| n.migrations_adopted)
-            .sum()
-    }
-
-    fn xfer_bytes_total(&self) -> u64 {
-        self.engine.nodes().iter().map(|n| n.xfer_bytes).sum()
-    }
-
-    fn query_flow(&self, _q: usize, exec: &Metrics) -> FlowMetrics {
-        exec.flow(0)
-    }
-
-    fn shared_flow(&self, _exec: &Metrics) -> FlowMetrics {
-        FlowMetrics::default()
-    }
-
-    fn query_label(&self, _q: usize) -> String {
-        self.shared.cfg.label()
-    }
-
-    fn query_name(&self, _q: usize) -> String {
-        self.shared.spec.name.clone()
-    }
-
-    fn join_node(&self, _q: usize, id: NodeId) -> &JoinNode {
-        self.engine.node(id)
-    }
-
-    fn move_leaf(&mut self, node: NodeId, to: sensor_net::Point) -> (u32, u64) {
-        let mv = sensor_routing::mobility::move_leaf(&self.shared.topo, &self.shared.sub, node, to);
-        (mv.delay_cycles, mv.traffic_bytes)
-    }
-
-    fn fire_plan(&mut self, cycle: u32, plan: &DynamicsPlan) -> FireOutcome {
-        let base = self.shared.base();
-        plan.fire(cycle, &mut self.engine, |eng| {
-            busiest_join_node_of(eng, base)
-        })
-    }
-
-    fn kill_node(&mut self, v: NodeId) -> usize {
-        self.engine.kill(v)
-    }
-    fn now(&self) -> u64 {
-        self.engine.now()
-    }
-    fn run_until_quiet(&mut self, budget: u64) -> u64 {
-        self.engine.run_until_quiet(budget)
-    }
-    fn sampling_cycle(&mut self, c: u32) {
-        self.engine.sampling_cycle(c);
-    }
-    fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
-    }
-    fn reset_metrics(&mut self) {
-        self.engine.reset_metrics();
-    }
-    fn reset_clock(&mut self) {
-        self.engine.reset_clock();
-    }
-    fn energy_depleted(&self) -> &[NodeId] {
-        self.engine.energy_depleted()
-    }
-    fn energy_msgs_dropped(&self) -> u64 {
-        self.engine.energy_msgs_dropped()
-    }
-}
-
-impl Host for MultiRun {
-    fn n_queries(&self) -> usize {
-        self.shareds.len()
-    }
-    fn cfg_of(&self, q: usize) -> AlgoConfig {
-        self.shareds[q].cfg
-    }
-    fn base(&self) -> NodeId {
-        self.engine.topology().base()
-    }
-    fn topo_len(&self) -> usize {
-        self.engine.topology().len()
-    }
-
-    fn topology(&self) -> &sensor_net::Topology {
-        self.engine.topology()
-    }
-
-    fn workload(&self) -> &WorkloadData {
-        &self.data
-    }
-
-    fn learned_sigma(&self, q: usize, w: usize) -> Option<crate::cost::Sigma> {
-        mean_sigma(
-            self.engine
-                .nodes()
-                .iter()
-                .flat_map(|mn| mn.query_node(q).pairs.values())
-                .filter_map(|ps| ps.stats.estimate(w)),
-        )
-    }
-
-    fn apply_step(&mut self, q: usize, step: InitStep) {
-        MultiRun::apply_step(self, q, step);
-    }
-
-    fn activate(&mut self, q: usize) {
-        self.activate_everywhere(q);
-    }
-
-    fn retire_query(&mut self, q: usize) -> Option<BaseSnapshot> {
-        MultiRun::retire_query(self, q)
-    }
-
-    fn live_snapshot(&self, q: usize) -> BaseSnapshot {
-        self.engine
-            .node(self.base())
-            .query_node(q)
-            .base_state()
-            .map(|b| BaseSnapshot {
-                results: b.results,
-                delay_sum: b.delay_sum,
-            })
-            .unwrap_or_default()
-    }
-
-    fn live_results(&self) -> u64 {
-        (0..self.n_queries())
-            .map(|q| self.live_snapshot(q).results)
-            .sum()
-    }
-
-    fn busiest_join_node(&self) -> Option<NodeId> {
-        crate::multi::busiest_multi_join_node(&self.engine, self.base())
-    }
-
-    fn mark_dead(&self, v: NodeId) {
-        MultiRun::mark_dead(self, v);
-    }
-
-    fn recovery_totals(&self) -> RecoveryStats {
-        MultiRun::recovery_totals(self)
-    }
-
-    fn expired_frames(&self) -> u64 {
-        self.engine.nodes().iter().map(|n| n.expired_frames).sum()
-    }
-
-    fn migrations_total(&self) -> u64 {
-        self.retired_migrations
-            + self
-                .engine
-                .nodes()
-                .iter()
-                .flat_map(|mn| mn.query_nodes())
-                .map(|jn| jn.migrations_adopted)
-                .sum::<u64>()
-    }
-
-    fn xfer_bytes_total(&self) -> u64 {
-        self.retired_xfer_bytes
-            + self
-                .engine
-                .nodes()
-                .iter()
-                .flat_map(|mn| mn.query_nodes())
-                .map(|jn| jn.xfer_bytes)
-                .sum::<u64>()
-    }
-
-    fn query_flow(&self, q: usize, exec: &Metrics) -> FlowMetrics {
-        exec.flow(q + 1)
-    }
-
-    fn shared_flow(&self, exec: &Metrics) -> FlowMetrics {
-        exec.flow(0)
-    }
-
-    fn query_label(&self, q: usize) -> String {
-        self.shareds[q].cfg.label()
-    }
-
-    fn query_name(&self, q: usize) -> String {
-        self.shareds[q].spec.name.clone()
-    }
-
-    fn join_node(&self, q: usize, id: NodeId) -> &JoinNode {
-        self.engine.node(id).query_node(q)
-    }
-
-    fn move_leaf(&mut self, node: NodeId, to: sensor_net::Point) -> (u32, u64) {
-        let mv = sensor_routing::mobility::move_leaf(self.engine.topology(), &self.sub, node, to);
-        (mv.delay_cycles, mv.traffic_bytes)
-    }
-
-    fn fire_plan(&mut self, cycle: u32, plan: &DynamicsPlan) -> FireOutcome {
-        let base = self.base();
-        plan.fire(cycle, &mut self.engine, |eng| {
-            crate::multi::busiest_multi_join_node(eng, base)
-        })
-    }
-
-    fn kill_node(&mut self, v: NodeId) -> usize {
-        self.engine.kill(v)
-    }
-    fn now(&self) -> u64 {
-        self.engine.now()
-    }
-    fn run_until_quiet(&mut self, budget: u64) -> u64 {
-        self.engine.run_until_quiet(budget)
-    }
-    fn sampling_cycle(&mut self, c: u32) {
-        self.engine.sampling_cycle(c);
-    }
-    fn metrics(&self) -> &Metrics {
-        self.engine.metrics()
-    }
-    fn reset_metrics(&mut self) {
-        self.engine.reset_metrics();
-    }
-    fn reset_clock(&mut self) {
-        self.engine.reset_clock();
-    }
-    fn energy_depleted(&self) -> &[NodeId] {
-        self.engine.energy_depleted()
-    }
-    fn energy_msgs_dropped(&self) -> u64 {
-        self.engine.energy_msgs_dropped()
-    }
-}
-
-// ----------------------------------------------------------------------
-// The shared drivers. These are the loops that used to exist twice
-// (`Run::initiate` vs `MultiRun::initiate`, `Run::execute_with_plan` vs
-// `MultiRun::execute_with_plan`); both harness stacks and the `Session`
-// now funnel through them, so the parity the golden tests check holds by
-// construction.
+// The drivers: initiation to quiescence, then resumable sampling cycles.
 
 /// Drive the initiation of the given queries to quiescence, the steps
 /// interleaved across queries so their control traffic contends. The
 /// caller selects `arrivals` (the cycle-0 batch, minus anything already
 /// retired). Returns `(initiation metrics, initiation cycles)` and
 /// leaves the engine with fresh metrics and a rewound clock.
-pub(crate) fn drive_initiation<H: Host>(host: &mut H, arrivals: &[usize]) -> (Metrics, u64) {
+fn drive_initiation(run: &mut MultiRun, arrivals: &[usize]) -> (Metrics, u64) {
     for &q in arrivals {
-        host.activate(q);
+        run.activate_everywhere(q);
     }
     let schedules: Vec<Vec<(InitStep, u64)>> = arrivals
         .iter()
-        .map(|&q| init_steps(&host.cfg_of(q)))
+        .map(|&q| init_steps(&run.shareds[q].cfg))
         .collect();
     let max_len = schedules.iter().map(Vec::len).max().unwrap_or(0);
     for step_idx in 0..max_len {
         let mut budget = 0u64;
         for (ai, &q) in arrivals.iter().enumerate() {
             if let Some(&(step, b)) = schedules[ai].get(step_idx) {
-                host.apply_step(q, step);
+                run.apply_step(q, step);
                 budget = budget.max(b);
             }
         }
         if budget > 0 {
-            host.run_until_quiet(budget);
+            run.engine.run_until_quiet(budget);
         }
     }
-    let cycles = host.now();
-    let metrics = host.metrics().clone();
-    host.reset_metrics();
-    host.reset_clock();
+    let cycles = run.engine.now();
+    let metrics = run.engine.metrics().clone();
+    run.engine.reset_metrics();
+    run.engine.reset_clock();
     (metrics, cycles)
 }
 
 /// Mutable execution-phase state threaded through [`drive_cycles`] calls:
 /// per-query lifecycle bookkeeping plus the dynamics trace an [`Outcome`]
-/// reports. The compat shims build one per call; a [`Session`] keeps one
-/// for its whole life so stepping is resumable.
-pub(crate) struct ExecState {
-    pub lifecycles: Vec<Lifecycle>,
+/// reports. A [`Session`] keeps one for its whole life so stepping is
+/// resumable.
+struct ExecState {
+    lifecycles: Vec<Lifecycle>,
     /// `true` once a query has been brought online (initiation batch or
     /// live arrival); guards against double activation.
-    pub activated: Vec<bool>,
+    activated: Vec<bool>,
     /// Base-counter snapshots of retired queries.
-    pub snapshots: Vec<Option<BaseSnapshot>>,
+    snapshots: Vec<Option<BaseSnapshot>>,
     /// Live-initiation steps pending for late arrivals.
-    pub pending_steps: Vec<(u32, usize, InitStep)>,
-    pub killed: Vec<(u32, NodeId)>,
-    pub queued_msgs_lost: u64,
+    pending_steps: Vec<(u32, usize, InitStep)>,
+    killed: Vec<(u32, NodeId)>,
+    queued_msgs_lost: u64,
     /// App. G mobility accounting: re-homings fired by the plan and the
     /// summary-update delay/traffic they cost (session-level — the report
     /// folds these into [`RecoveryStats`]).
-    pub leaf_moves: u64,
-    pub move_delay_cycles: u64,
-    pub move_update_bytes: u64,
-    pub per_cycle_tx_bytes: Vec<u64>,
+    leaf_moves: u64,
+    move_delay_cycles: u64,
+    move_update_bytes: u64,
+    per_cycle_tx_bytes: Vec<u64>,
     /// Results at the moment the first scheduled event fired (`None`
     /// until one does).
-    pub results_pre_event: Option<u64>,
+    results_pre_event: Option<u64>,
     /// Bounds of the events that actually fired.
-    pub first_fired: Option<u32>,
-    pub last_fired: Option<u32>,
-    pub arrivals: Vec<(u32, usize)>,
-    pub departures: Vec<(u32, usize)>,
+    first_fired: Option<u32>,
+    last_fired: Option<u32>,
+    arrivals: Vec<(u32, usize)>,
+    departures: Vec<(u32, usize)>,
     /// Next sampling cycle to run.
-    pub next_cycle: u32,
+    next_cycle: u32,
     energy_seen: usize,
     energy_msgs_seen: u64,
     migrations_seen: u64,
@@ -680,7 +225,7 @@ pub(crate) struct ExecState {
 }
 
 impl ExecState {
-    pub(crate) fn new<H: Host>(host: &H, lifecycles: Vec<Lifecycle>) -> ExecState {
+    fn new(run: &MultiRun, lifecycles: Vec<Lifecycle>) -> ExecState {
         let n = lifecycles.len();
         ExecState {
             activated: lifecycles.iter().map(|lc| lc.arrival == 0).collect(),
@@ -699,8 +244,8 @@ impl ExecState {
             arrivals: Vec::new(),
             departures: Vec::new(),
             next_cycle: 0,
-            energy_seen: host.energy_depleted().len(),
-            energy_msgs_seen: host.energy_msgs_dropped(),
+            energy_seen: run.engine.energy_depleted().len(),
+            energy_msgs_seen: run.engine.energy_msgs_dropped(),
             migrations_seen: 0,
             repairs_seen: 0,
         }
@@ -712,7 +257,7 @@ impl ExecState {
 
     /// Queries whose live initiation has not finished (steps still
     /// pending), sorted and deduplicated.
-    pub(crate) fn unfinished_inits(&self) -> Vec<usize> {
+    fn unfinished_inits(&self) -> Vec<usize> {
         let mut out: Vec<usize> = self.pending_steps.iter().map(|&(_, q, _)| q).collect();
         out.sort_unstable();
         out.dedup();
@@ -722,22 +267,21 @@ impl ExecState {
 
 /// The per-cycle view both the observer stream and [`Session::run_until`]
 /// predicates see — one constructor so the two can never drift apart.
-fn cycle_view<'a>(host: &'a dyn Host, st: &ExecState, cycle: u32) -> CycleView<'a> {
+fn cycle_view<'a>(run: &'a MultiRun, st: &ExecState, cycle: u32) -> CycleView<'a> {
     CycleView {
         cycle,
-        now: host.now(),
-        results: host.live_results() + st.snapshot_results(),
+        now: run.engine.now(),
+        results: run.live_results() + st.snapshot_results(),
         cycle_tx_bytes: *st.per_cycle_tx_bytes.last().unwrap_or(&0),
-        metrics: host.metrics(),
+        metrics: run.engine.metrics(),
     }
 }
 
 /// Run `n` sampling cycles: lifecycle events (departures, then arrivals
 /// and due live-init steps), then scheduled dynamics, then the sampling
-/// cycle itself, then energy-depletion propagation — the exact boundary
-/// order both legacy harnesses used.
-pub(crate) fn drive_cycles<H: Host>(
-    host: &mut H,
+/// cycle itself, then energy-depletion propagation.
+fn drive_cycles(
+    run: &mut MultiRun,
     st: &mut ExecState,
     plan: &DynamicsPlan,
     n: u32,
@@ -754,16 +298,16 @@ pub(crate) fn drive_cycles<H: Host>(
         // only — reads engine state, mutates nothing).
         if plan.has_event_at(c) {
             if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(host.live_results() + st.snapshot_results());
+                st.results_pre_event = Some(run.live_results() + st.snapshot_results());
                 st.first_fired = Some(c);
             }
             st.last_fired = Some(c);
         }
         // Lifecycle: departures first (a query leaving at c does not
         // sample at c), then arrivals, then any due live-init steps.
-        for q in 0..host.n_queries() {
+        for q in 0..run.n_queries() {
             if st.lifecycles[q].departure == Some(c) && st.snapshots[q].is_none() {
-                st.snapshots[q] = host.retire_query(q);
+                st.snapshots[q] = run.retire_query(q);
                 // Any live-init steps still pending for the departed query
                 // are moot — dropping them keeps `unfinished_inits` an
                 // honest truncation signal (a deliberate retirement is not
@@ -779,14 +323,14 @@ pub(crate) fn drive_cycles<H: Host>(
                 );
             }
         }
-        for q in 0..host.n_queries() {
+        for q in 0..run.n_queries() {
             // A query already retired (snapshot taken) never re-arrives,
             // even under a nonsensical departure-before-arrival lifecycle.
             if st.lifecycles[q].arrival == c && !st.activated[q] && st.snapshots[q].is_none() {
-                host.activate(q);
+                run.activate_everywhere(q);
                 st.activated[q] = true;
                 st.arrivals.push((c, q));
-                for (i, (step, _)) in init_steps(&host.cfg_of(q)).iter().enumerate() {
+                for (i, (step, _)) in init_steps(&run.shareds[q].cfg).iter().enumerate() {
                     st.pending_steps
                         .push((c + i as u32 * LIVE_INIT_SPACING, q, *step));
                 }
@@ -806,15 +350,18 @@ pub(crate) fn drive_cycles<H: Host>(
             .map(|&(_, q, step)| (q, step))
             .collect();
         for (q, step) in due {
-            host.apply_step(q, step);
+            run.apply_step(q, step);
         }
         st.pending_steps.retain(|&(at, _, _)| at > c);
         // Scheduled dynamics (kills resolve `Picked` to the busiest join
         // node — §7's worst-case victim).
-        let fired = host.fire_plan(c, plan);
+        let base = run.base();
+        let fired = plan.fire(c, &mut run.engine, |eng| {
+            crate::multi::busiest_join_node(eng, base)
+        });
         st.queued_msgs_lost += fired.queued_msgs_dropped;
         for &v in &fired.killed {
-            host.mark_dead(v);
+            run.mark_dead(v);
             st.killed.push((c, v));
             emit(obs, SessionEvent::NodeKilled { cycle: c, node: v });
         }
@@ -830,45 +377,45 @@ pub(crate) fn drive_cycles<H: Host>(
         // Mobile-leaf re-homings (App. G): the engine resolved who moves
         // where; the substrate charges the summary-update delay/traffic.
         for &(node, to) in &fired.moved {
-            let (delay, bytes) = host.move_leaf(node, to);
+            let mv = sensor_routing::mobility::move_leaf(run.engine.topology(), &run.sub, node, to);
             st.leaf_moves += 1;
-            st.move_delay_cycles += u64::from(delay);
-            st.move_update_bytes += bytes;
+            st.move_delay_cycles += u64::from(mv.delay_cycles);
+            st.move_update_bytes += mv.traffic_bytes;
         }
         if plan.marks.contains(&c) {
             emit(obs, SessionEvent::WorkloadMark { cycle: c });
         }
-        let tx_before = host.metrics().total_tx_bytes();
-        host.sampling_cycle(c);
+        let tx_before = run.engine.metrics().total_tx_bytes();
+        run.engine.sampling_cycle(c);
         // Nodes that ran out of energy this cycle propagate to every
         // query's liveness oracle and the loss accounting, like plan kills.
-        let depleted: Vec<NodeId> = host.energy_depleted()[st.energy_seen..].to_vec();
+        let depleted: Vec<NodeId> = run.engine.energy_depleted()[st.energy_seen..].to_vec();
         st.energy_seen += depleted.len();
         if !depleted.is_empty() {
             // A depletion is an event for the pre/post split, discovered
             // only after the cycle ran — the "pre" snapshot therefore
             // includes this cycle's results (the death happened during it).
             if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(host.live_results() + st.snapshot_results());
+                st.results_pre_event = Some(run.live_results() + st.snapshot_results());
                 st.first_fired = Some(c);
             }
             st.last_fired = Some(c);
         }
         for v in depleted {
-            host.mark_dead(v);
+            run.mark_dead(v);
             st.killed.push((c, v));
             emit(obs, SessionEvent::NodeKilled { cycle: c, node: v });
         }
-        let energy_msgs = host.energy_msgs_dropped();
+        let energy_msgs = run.engine.energy_msgs_dropped();
         st.queued_msgs_lost += energy_msgs - st.energy_msgs_seen;
         st.energy_msgs_seen = energy_msgs;
         st.per_cycle_tx_bytes
-            .push(host.metrics().total_tx_bytes() - tx_before);
+            .push(run.engine.metrics().total_tx_bytes() - tx_before);
         if !obs.is_empty() {
             // Totals are monotone (retirement absorbs counters into the
-            // host's accumulators); the unconditional baseline update is
+            // run's accumulators); the unconditional baseline update is
             // belt-and-braces against any future counter reset.
-            let mig = host.migrations_total();
+            let mig = run.migrations_total();
             if mig > st.migrations_seen {
                 emit(
                     obs,
@@ -879,7 +426,7 @@ pub(crate) fn drive_cycles<H: Host>(
                 );
             }
             st.migrations_seen = mig;
-            let rep = host.recovery_totals().repair_successes;
+            let rep = run.recovery_totals().repair_successes;
             if rep > st.repairs_seen {
                 emit(
                     obs,
@@ -890,7 +437,7 @@ pub(crate) fn drive_cycles<H: Host>(
                 );
             }
             st.repairs_seen = rep;
-            let view = cycle_view(&*host, st, c);
+            let view = cycle_view(run, st, c);
             for o in obs.iter_mut() {
                 o.on_cycle(&view);
             }
@@ -904,9 +451,7 @@ pub(crate) fn drive_cycles<H: Host>(
 
 /// Everything a finished (or in-flight) session can report: per-query
 /// rows, phase-separated aggregate traffic, §7 recovery totals, and the
-/// dynamics trace. Subsumes [`RunStats`], [`MultiRunStats`],
-/// [`DynamicsOutcome`] and [`MultiOutcome`]; `From` conversions to each
-/// are provided for the migration off the legacy harnesses.
+/// dynamics trace.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// One row per admitted query, in admission order (retired queries
@@ -916,8 +461,8 @@ pub struct Outcome {
     pub initiation: Metrics,
     /// Traffic during execution (including live initiations and recovery).
     pub execution: Metrics,
-    /// Execution traffic of cross-query aggregate frames (flow 0 of the
-    /// tagged wire; zero for bare-wire and independent-delivery sessions).
+    /// Execution traffic of cross-query aggregate frames (engine flow 0;
+    /// zero for independent-delivery sessions, bare wire included).
     pub shared_flow: FlowMetrics,
     pub base: NodeId,
     /// Frames dropped at arrival because their query had been retired.
@@ -939,8 +484,9 @@ pub struct Outcome {
     /// Join results delivered at or after the first scheduled event.
     pub results_post_event: u64,
     /// Sampling cycles after the last event until per-cycle traffic
-    /// settled back near the pre-event baseline (see
-    /// [`crate::scenario::DynamicsOutcome::reconvergence_cycles`]).
+    /// settled back within 25% of the pre-event baseline for 3
+    /// consecutive cycles. `None` for static plans or if the run ended
+    /// first.
     pub reconvergence_cycles: Option<u32>,
     /// `(cycle, query)` live admissions that fired during execution.
     pub arrivals: Vec<(u32, usize)>,
@@ -1018,93 +564,8 @@ impl Outcome {
     }
 }
 
-impl From<Outcome> for RunStats {
-    fn from(o: Outcome) -> RunStats {
-        RunStats {
-            label: o
-                .per_query
-                .first()
-                .map(|q| q.label.clone())
-                .unwrap_or_default(),
-            results: o.results_total(),
-            avg_delay_tx: o.avg_delay_tx(),
-            initiation: o.initiation,
-            execution: o.execution,
-            initiation_cycles: o.initiation_cycles,
-            base: o.base,
-        }
-    }
-}
-
-impl From<Outcome> for MultiRunStats {
-    fn from(o: Outcome) -> MultiRunStats {
-        MultiRunStats {
-            per_query: o.per_query,
-            initiation: o.initiation,
-            execution: o.execution,
-            shared_flow: o.shared_flow,
-            base: o.base,
-            expired_frames: o.expired_frames,
-        }
-    }
-}
-
-impl From<Outcome> for DynamicsOutcome {
-    fn from(o: Outcome) -> DynamicsOutcome {
-        DynamicsOutcome {
-            killed: o.killed,
-            queued_msgs_lost: o.queued_msgs_lost,
-            per_cycle_tx_bytes: o.per_cycle_tx_bytes,
-            results_pre_event: o.results_pre_event,
-            results_post_event: o.results_post_event,
-            reconvergence_cycles: o.reconvergence_cycles,
-        }
-    }
-}
-
-impl From<Outcome> for MultiOutcome {
-    fn from(o: Outcome) -> MultiOutcome {
-        MultiOutcome {
-            killed: o.killed,
-            queued_msgs_lost: o.queued_msgs_lost,
-            arrivals: o.arrivals,
-            departures: o.departures,
-            unfinished_inits: o.unfinished_inits,
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // The session proper.
-
-// Exactly one `Backend` per `Session`, so the size gap between variants
-// costs a few hundred bytes once; boxing would add a pointer chase to
-// every `with_host!` dispatch on the step path.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    /// Untagged single-query frames — the paper's original wire format.
-    Bare(Run),
-    /// Query-tagged frames through the [`crate::MultiNode`] wrapper.
-    Tagged(MultiRun),
-}
-
-impl Backend {
-    fn host(&self) -> &dyn Host {
-        match self {
-            Backend::Bare(r) => r,
-            Backend::Tagged(m) => m,
-        }
-    }
-}
-
-macro_rules! with_host {
-    ($backend:expr, $h:ident => $body:expr) => {
-        match $backend {
-            Backend::Bare($h) => $body,
-            Backend::Tagged($h) => $body,
-        }
-    };
-}
 
 /// One resident n-way graph query: its current plan and the fingerprints
 /// of the skeleton sub-joins it holds references on.
@@ -1166,7 +627,10 @@ struct QueryCacheMeta {
 /// Built via [`SessionBuilder`]; see the [module docs](self) for the
 /// lifecycle.
 pub struct Session {
-    backend: Backend,
+    run: MultiRun,
+    /// Built with [`SessionBuilder::bare_wire`]: one fixed query, 0-byte
+    /// query tags, no online admission or retirement.
+    bare: bool,
     plan: DynamicsPlan,
     st: ExecState,
     observers: Vec<Box<dyn Observer + Send>>,
@@ -1208,15 +672,15 @@ impl Session {
     }
 
     pub(crate) fn is_bare(&self) -> bool {
-        matches!(self.backend, Backend::Bare(_))
+        self.bare
     }
 
     pub(crate) fn node_count(&self) -> usize {
-        self.backend.host().topo_len()
+        self.run.engine.topology().len()
     }
 
     pub(crate) fn base_node(&self) -> NodeId {
-        self.backend.host().base()
+        self.run.base()
     }
 
     /// Replace the dynamics plan (takes effect from the next cycle; events
@@ -1233,9 +697,8 @@ impl Session {
             // The counters are only advanced while observers are attached
             // (sweeps shouldn't pay for telemetry nobody reads), so a
             // mid-run attach must not inherit a stale baseline.
-            let host = self.backend.host();
-            self.st.migrations_seen = host.migrations_total();
-            self.st.repairs_seen = host.recovery_totals().repair_successes;
+            self.st.migrations_seen = self.run.migrations_total();
+            self.st.repairs_seen = self.run.recovery_totals().repair_successes;
         }
         self.observers.push(obs);
     }
@@ -1256,43 +719,28 @@ impl Session {
     /// On a [`SessionBuilder::bare_wire`] session — the untagged wire
     /// format hosts exactly one query for its whole life.
     pub fn admit(&mut self, spec: JoinQuerySpec, mut cfg: AlgoConfig) -> QueryId {
-        let meta = self.warm_start.then(|| {
-            let host = self.backend.host();
-            QueryCacheMeta {
-                fingerprint: spec_fingerprint(&spec),
-                region: region_of(&spec, host.topology(), host.workload()),
-                window: spec.window,
-            }
+        assert!(
+            !self.bare,
+            "bare-wire sessions host exactly one fixed query; \
+             use the default tagged session for online admission"
+        );
+        let meta = self.warm_start.then(|| QueryCacheMeta {
+            fingerprint: spec_fingerprint(&spec),
+            region: region_of(&spec, self.topology(), self.workload()),
+            window: spec.window,
         });
         if let Some(m) = &meta {
             if let Some(sigma) = self.cache.lookup(&m.fingerprint, m.region) {
                 cfg.assumed = sigma;
             }
         }
-        let mr = match &mut self.backend {
-            Backend::Tagged(mr) => mr,
-            Backend::Bare(_) => panic!(
-                "bare-wire sessions host exactly one fixed query; \
-                 use the default tagged session for online admission"
-            ),
-        };
         let arrival = if self.initiated {
             self.st.next_cycle
         } else {
             0
         };
-        let q = mr.add_query(
-            spec,
-            cfg,
-            Lifecycle {
-                arrival,
-                departure: None,
-            },
-        );
-        self.st.lifecycles.push(Lifecycle {
-            arrival,
-            departure: None,
-        });
+        let q = self.run.add_query(spec, cfg);
+        self.st.lifecycles.push(Lifecycle::arriving(arrival));
         // Cycle-0 admissions are activated by the initiation batch; live
         // ones by the arrival scan at the top of the next cycle.
         self.st.activated.push(false);
@@ -1316,56 +764,52 @@ impl Session {
     /// # Panics
     /// On a bare-wire session (see [`Session::admit`]).
     pub fn retire(&mut self, id: QueryId) {
+        assert!(
+            !self.bare,
+            "bare-wire sessions host exactly one fixed query; \
+             use the default tagged session for online retirement"
+        );
         let q = id.0;
-        match &mut self.backend {
-            Backend::Tagged(mr) => {
-                if self.st.snapshots[q].is_none() {
-                    // Harvest learned state while the per-node protocol
-                    // instances still hold it; `retire_query` deactivates
-                    // them everywhere.
-                    if let Some(meta) = &self.q_meta[q] {
-                        if let Some(sigma) = Host::learned_sigma(&*mr, q, meta.window) {
-                            let n = Host::topo_len(&*mr);
-                            let mut placements = Vec::new();
-                            let (mut attempts, mut successes) = (0u64, 0u64);
-                            for i in 0..n {
-                                let jn = Host::join_node(&*mr, q, NodeId(i as u16));
-                                if !jn.pairs.is_empty() {
-                                    placements.push(NodeId(i as u16));
-                                }
-                                attempts += jn.recovery.repair_attempts;
-                                successes += jn.recovery.repair_successes;
-                            }
-                            self.cache.insert(
-                                meta.fingerprint.clone(),
-                                meta.region,
-                                sigma,
-                                placements,
-                                (attempts, successes),
-                            );
-                        }
+        if self.st.snapshots[q].is_some() {
+            return;
+        }
+        // Harvest learned state while the per-node protocol instances
+        // still hold it; `retire_query` deactivates them everywhere.
+        if let Some(meta) = &self.q_meta[q] {
+            if let Some(sigma) = self.run.learned_sigma(q, meta.window) {
+                let mut placements = Vec::new();
+                let (mut attempts, mut successes) = (0u64, 0u64);
+                for (i, mn) in self.run.engine.nodes().iter().enumerate() {
+                    let jn = mn.query_node(q);
+                    if !jn.pairs.is_empty() {
+                        placements.push(NodeId(i as u16));
                     }
-                    let c = self.st.next_cycle;
-                    self.st.snapshots[q] = mr.retire_query(q);
-                    // Deliberate retirement is not a truncated initiation:
-                    // drop its pending live-init steps so they neither
-                    // fire as no-ops nor pollute `unfinished_inits`.
-                    self.st.pending_steps.retain(|&(_, pq, _)| pq != q);
-                    self.st.lifecycles[q].departure = Some(c);
-                    self.st.departures.push((c, q));
-                    let ev = SessionEvent::Retired {
-                        cycle: c,
-                        query: id,
-                    };
-                    for o in &mut self.observers {
-                        o.on_event(&ev);
-                    }
+                    attempts += jn.recovery.repair_attempts;
+                    successes += jn.recovery.repair_successes;
                 }
+                self.cache.insert(
+                    meta.fingerprint.clone(),
+                    meta.region,
+                    sigma,
+                    placements,
+                    (attempts, successes),
+                );
             }
-            Backend::Bare(_) => panic!(
-                "bare-wire sessions host exactly one fixed query; \
-                 use the default tagged session for online retirement"
-            ),
+        }
+        let c = self.st.next_cycle;
+        self.st.snapshots[q] = self.run.retire_query(q);
+        // Deliberate retirement is not a truncated initiation: drop its
+        // pending live-init steps so they neither fire as no-ops nor
+        // pollute `unfinished_inits`.
+        self.st.pending_steps.retain(|&(_, pq, _)| pq != q);
+        self.st.lifecycles[q].departure = Some(c);
+        self.st.departures.push((c, q));
+        let ev = SessionEvent::Retired {
+            cycle: c,
+            query: id,
+        };
+        for o in &mut self.observers {
+            o.on_event(&ev);
         }
     }
 
@@ -1390,11 +834,8 @@ impl Session {
     /// On a bare-wire session (see [`Session::admit`]).
     pub fn admit_graph(&mut self, graph: &JoinGraph, cfg: AlgoConfig) -> GraphId {
         let sigmas = self.seeded_sigmas(graph, cfg.assumed);
-        let plan = {
-            let host = self.backend.host();
-            let space = PlanSpace::build(host.topology(), host.workload(), graph);
-            optimize(graph, &sigmas, &space)
-        };
+        let space = PlanSpace::build(self.topology(), self.workload(), graph);
+        let plan = optimize(graph, &sigmas, &space);
         let gid = GraphId(self.graphs.len());
         let scope = (!self.share_subjoins).then_some(gid.0);
         let mut subs = Vec::with_capacity(plan.skeleton.len());
@@ -1420,16 +861,13 @@ impl Session {
         if !self.warm_start {
             return uniform_sigmas(graph, assumed);
         }
-        let keys: Vec<(String, Region)> = {
-            let host = self.backend.host();
-            (0..graph.edges.len())
-                .map(|e| {
-                    let spec = graph.edge_spec(e);
-                    let region = region_of(&spec, host.topology(), host.workload());
-                    (spec_fingerprint(&spec), region)
-                })
-                .collect()
-        };
+        let keys: Vec<(String, Region)> = (0..graph.edges.len())
+            .map(|e| {
+                let spec = graph.edge_spec(e);
+                let region = region_of(&spec, self.topology(), self.workload());
+                (spec_fingerprint(&spec), region)
+            })
+            .collect();
         keys.into_iter()
             .map(|(fp, region)| self.cache.lookup(&fp, region).unwrap_or(assumed))
             .collect()
@@ -1451,7 +889,7 @@ impl Session {
     /// air carrying `WindowXfer` frames. Monotone across retirements, so
     /// per-phase costs fall out of boundary differences.
     pub fn migration_xfer_bytes(&self) -> u64 {
-        self.backend.host().xfer_bytes_total()
+        self.run.xfer_bytes_total()
     }
 
     /// Retire a graph query: drop its references on its skeleton
@@ -1505,7 +943,7 @@ impl Session {
         let mut learned: Vec<Option<Sigma>> = vec![None; entry.graph.edges.len()];
         for (k, &e) in entry.plan.skeleton.iter().enumerate() {
             let qid = self.sub_registry[&entry.subs[k]].qid;
-            learned[e] = self.backend.host().learned_sigma(qid.0, w);
+            learned[e] = self.run.learned_sigma(qid.0, w);
         }
         let entry = &self.graphs[id.0];
         if !sigmas_diverged(&entry.plan.sigmas, &learned, entry.cfg.divergence_threshold) {
@@ -1541,11 +979,8 @@ impl Session {
         }
         let graph = entry.graph.clone();
         let cfg = entry.cfg;
-        let plan = {
-            let host = self.backend.host();
-            let space = PlanSpace::build(host.topology(), host.workload(), &graph);
-            optimize(&graph, sigmas, &space)
-        };
+        let space = PlanSpace::build(self.topology(), self.workload(), &graph);
+        let plan = optimize(&graph, sigmas, &space);
         let scope = (!self.share_subjoins).then_some(id.0);
         // Acquire the new skeleton first, then release the old one, so
         // sub-joins common to both plans never drop to zero references
@@ -1622,7 +1057,7 @@ impl Session {
                 o.on_event(&ev);
             }
         }
-        let (m, c) = with_host!(&mut self.backend, h => drive_initiation(h, &arrivals));
+        let (m, c) = drive_initiation(&mut self.run, &arrivals);
         self.init_metrics = Some(m);
         self.init_cycles = c;
         self.initiated = true;
@@ -1641,13 +1076,13 @@ impl Session {
     pub fn step(&mut self, n: u32) {
         self.ensure_initiated();
         let Session {
-            backend,
+            run,
             plan,
             st,
             observers,
             ..
         } = self;
-        with_host!(backend, h => drive_cycles(h, st, plan, n, observers));
+        drive_cycles(run, st, plan, n, observers);
     }
 
     /// Step one cycle at a time until `pred` returns `true` on the
@@ -1659,7 +1094,7 @@ impl Session {
         let start = self.st.next_cycle;
         loop {
             self.step(1);
-            let view = cycle_view(self.backend.host(), &self.st, self.st.next_cycle - 1);
+            let view = cycle_view(&self.run, &self.st, self.st.next_cycle - 1);
             if pred(&view) {
                 break;
             }
@@ -1675,16 +1110,12 @@ impl Session {
     pub fn kill(&mut self, v: NodeId) {
         let c = self.st.next_cycle;
         if self.st.results_pre_event.is_none() {
-            let host = self.backend.host();
-            self.st.results_pre_event = Some(host.live_results() + self.st.snapshot_results());
+            self.st.results_pre_event = Some(self.run.live_results() + self.st.snapshot_results());
             self.st.first_fired = Some(c);
         }
         self.st.last_fired = Some(c);
-        let dropped = with_host!(&mut self.backend, h => {
-            let d = h.kill_node(v);
-            h.mark_dead(v);
-            d
-        });
+        let dropped = self.run.engine.kill(v);
+        self.run.mark_dead(v);
         self.st.queued_msgs_lost += dropped as u64;
         self.st.killed.push((c, v));
         let ev = SessionEvent::NodeKilled { cycle: c, node: v };
@@ -1701,74 +1132,78 @@ impl Session {
     pub fn query_results(&self, id: QueryId) -> u64 {
         self.st.snapshots[id.0]
             .map(|s| s.results)
-            .unwrap_or_else(|| self.backend.host().live_snapshot(id.0).results)
+            .unwrap_or_else(|| self.run.live_snapshot(id.0).results)
     }
 
     /// Total bytes transmitted in the execution phase so far, without
     /// draining.
     pub fn tx_bytes_so_far(&self) -> u64 {
-        self.backend.host().metrics().total_tx_bytes()
+        self.run.engine.metrics().total_tx_bytes()
     }
 
     /// The network this session executes over.
     pub fn topology(&self) -> &sensor_net::Topology {
-        self.backend.host().topology()
+        self.run.engine.topology()
     }
 
     /// The workload data this session executes over.
     pub fn workload(&self) -> &WorkloadData {
-        self.backend.host().workload()
+        &self.run.data
+    }
+
+    /// Whether `node` is still alive (not killed, not out of energy).
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        self.run.engine.is_alive(node)
     }
 
     /// The alive non-base node currently serving the most join pairs
     /// (failure-target selection, Fig 14).
     pub fn busiest_join_node(&self) -> Option<NodeId> {
-        self.backend.host().busiest_join_node()
+        crate::multi::busiest_join_node(&self.run.engine, self.run.base())
     }
 
     /// Read access to query `id`'s protocol instance at node `node`
     /// (diagnostics; e.g. producer assignments after initiation).
     pub fn query_node(&self, id: QueryId, node: NodeId) -> &JoinNode {
-        self.backend.host().join_node(id.0, node)
+        self.run.engine.node(node).query_node(id.0)
     }
 
     /// Drain in-flight messages and assemble the unified [`Outcome`].
     /// May be called mid-run (and repeatedly); draining runs the engine
-    /// until quiescence so the last cycles' results are counted, exactly
-    /// as the legacy harnesses did at the end of `execute`.
+    /// until quiescence so the last cycles' results are counted.
     pub fn report(&mut self) -> Outcome {
         self.ensure_initiated();
-        with_host!(&mut self.backend, h => { h.run_until_quiet(5_000); });
-        let host = self.backend.host();
+        self.run.engine.run_until_quiet(5_000);
+        let run = &self.run;
         let st = &self.st;
-        let exec = host.metrics().clone();
-        let per_query: Vec<QueryStats> = (0..host.n_queries())
+        let exec = run.engine.metrics().clone();
+        let per_query: Vec<QueryStats> = (0..run.n_queries())
             .map(|q| {
-                let snap = st.snapshots[q].unwrap_or_else(|| host.live_snapshot(q));
+                let snap = st.snapshots[q].unwrap_or_else(|| run.live_snapshot(q));
                 let avg_delay = if snap.results > 0 {
                     snap.delay_sum as f64 / snap.results as f64
                 } else {
                     0.0
                 };
                 QueryStats {
-                    label: host.query_label(q),
-                    name: host.query_name(q),
+                    label: run.shareds[q].cfg.label(),
+                    name: run.shareds[q].spec.name.clone(),
                     arrival: st.lifecycles[q].arrival,
                     departure: st.lifecycles[q].departure,
                     results: snap.results,
                     avg_delay_tx: avg_delay,
-                    flow: host.query_flow(q, &exec),
+                    flow: exec.flow(q + 1),
                 }
             })
             .collect();
         let total: u64 = per_query.iter().map(|q| q.results).sum();
         let pre = st.results_pre_event.unwrap_or(total);
         Outcome {
-            shared_flow: host.shared_flow(&exec),
-            base: host.base(),
-            expired_frames: host.expired_frames(),
+            shared_flow: exec.flow(0),
+            base: run.base(),
+            expired_frames: run.engine.nodes().iter().map(|n| n.expired_frames).sum(),
             recovery: {
-                let mut r = host.recovery_totals();
+                let mut r = run.recovery_totals();
                 r.leaf_moves += st.leaf_moves;
                 r.move_delay_cycles += st.move_delay_cycles;
                 r.move_update_bytes += st.move_update_bytes;
@@ -1778,7 +1213,7 @@ impl Session {
             initiation: self
                 .init_metrics
                 .clone()
-                .unwrap_or_else(|| Metrics::new(host.topo_len())),
+                .unwrap_or_else(|| Metrics::new(run.engine.topology().len())),
             execution: exec,
             initiation_cycles: self.init_cycles,
             killed: st.killed.clone(),
@@ -1944,11 +1379,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Use the paper's original untagged single-query wire format instead
-    /// of the query-tagged wrapper: byte-for-byte the figures' traffic
-    /// numbers, at the price of a fixed single query (no
-    /// [`Session::admit`]/[`Session::retire`]). Requires exactly one
-    /// cycle-0 query.
+    /// Use the paper's original untagged single-query wire format: the
+    /// query tag shrinks to 0 bytes, so traffic is byte-for-byte the
+    /// figures' numbers, at the price of a fixed single query (no
+    /// [`Session::admit`]/[`Session::retire`]) with independent delivery.
+    /// Requires exactly one cycle-0 query.
     pub fn bare_wire(mut self) -> Self {
         self.bare = true;
         self
@@ -1984,39 +1419,30 @@ impl SessionBuilder {
         } else {
             (0..self.queries.len()).map(|_| None).collect()
         };
-        let backend = if self.bare {
+        let (sharing, tag_bytes) = if self.bare {
             assert!(
                 self.queries.len() == 1 && lifecycles[0] == Lifecycle::STATIC,
                 "bare_wire sessions host exactly one static cycle-0 query"
             );
-            let qi = self.queries.into_iter().next().expect("one query");
-            Backend::Bare(
-                Scenario {
-                    topo: self.topo,
-                    data: self.data,
-                    spec: qi.spec,
-                    cfg: qi.cfg,
-                    sim: self.sim,
-                    num_trees: self.num_trees,
-                }
-                .build(),
-            )
+            (Sharing::Independent, 0)
         } else {
-            Backend::Tagged(
-                QuerySet {
-                    topo: self.topo,
-                    data: self.data,
-                    queries: self.queries,
-                    sim: self.sim,
-                    num_trees: self.num_trees,
-                    sharing: self.sharing,
-                }
-                .build(),
-            )
+            (self.sharing, QUERY_TAG_BYTES)
         };
-        let st = with_host!(&backend, h => ExecState::new(h, lifecycles));
+        let mut run = MultiRun::new(
+            self.topo,
+            self.data,
+            self.sim,
+            self.num_trees,
+            sharing,
+            tag_bytes,
+        );
+        for qi in self.queries {
+            run.add_query(qi.spec, qi.cfg);
+        }
+        let st = ExecState::new(&run, lifecycles);
         Session {
-            backend,
+            run,
+            bare: self.bare,
             plan: self.plan,
             st,
             observers: self.observers,

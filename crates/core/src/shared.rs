@@ -197,6 +197,28 @@ pub struct Shared {
 }
 
 impl Shared {
+    /// The run context of one query over `topo`'s routing `sub`strate. A
+    /// GPSR router is built only for [`Algorithm::Ght`]; `dead` seeds the
+    /// liveness oracle with the nodes known dead at admission.
+    pub fn new(
+        topo: &Topology,
+        sub: Arc<MultiTreeSubstrate>,
+        spec: JoinQuerySpec,
+        data: &WorkloadData,
+        cfg: AlgoConfig,
+        dead: HashSet<NodeId>,
+    ) -> Shared {
+        Shared {
+            topo: topo.clone(),
+            sub,
+            gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(topo)),
+            spec,
+            data: data.clone(),
+            cfg,
+            dead: Mutex::new(dead),
+        }
+    }
+
     pub fn base(&self) -> NodeId {
         self.topo.base()
     }

@@ -12,12 +12,15 @@ use aspen_join::learn::PairStats;
 use aspen_join::msg::{side, Msg, Pair, Route};
 use aspen_join::node::PairState;
 use aspen_join::prelude::*;
-use aspen_join::Algorithm;
+use aspen_join::scenario::default_indexed_attrs;
+use aspen_join::{Algorithm, JoinNode, Shared};
 use sensor_net::{NodeId, Point, Topology};
 use sensor_query::Tuple;
-use sensor_sim::Protocol;
+use sensor_routing::MultiTreeSubstrate;
+use sensor_sim::{Engine, Protocol};
 use sensor_workload::{query0, WorkloadData};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Ladder topology (as in the repair unit tests): with range 1.5 the
 /// diagonals connect, so node 6 bridges 1 and 3 around a failed node 2.
@@ -35,17 +38,35 @@ fn ladder() -> Topology {
     Topology::from_positions(pts, 1.5, NodeId(0))
 }
 
-fn build_run(topo: Topology, opts: InnetOptions) -> aspen_join::Run {
+/// A bare engine of `JoinNode`s that was never initiated: the tests plant
+/// protocol state by hand and drive single callbacks.
+struct Net {
+    engine: Engine<JoinNode>,
+    shared: Arc<Shared>,
+}
+
+fn build_run(topo: Topology, opts: InnetOptions) -> Net {
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 3);
-    let sc = Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    sc.build()
+    let sub = Arc::new(MultiTreeSubstrate::build(
+        &topo,
+        1,
+        default_indexed_attrs(),
+        &data,
+    ));
+    let cfg = AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts);
+    let shared = Arc::new(Shared::new(
+        &topo,
+        sub,
+        query0(3),
+        &data,
+        cfg,
+        HashSet::new(),
+    ));
+    let sh = shared.clone();
+    let engine = Engine::new(topo, SimConfig::lossless(), move |id| {
+        JoinNode::new(id, sh.clone())
+    });
+    Net { engine, shared }
 }
 
 fn pair_state(pair: Pair, path: Vec<NodeId>, hops: Vec<u16>, j_idx: Option<usize>) -> PairState {

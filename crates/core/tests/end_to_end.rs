@@ -9,12 +9,11 @@ use sensor_workload::{query0, query1, query2, query3, WorkloadData};
 
 const CYCLES: u32 = 40;
 
-/// Initiate, run `cycles` sampling cycles, and collect legacy-shape stats
-/// through the [`Session`] layer.
-fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
+/// Initiate, run `cycles` sampling cycles, and report.
+fn run_stats(sc: &Scenario, cycles: u32) -> Outcome {
     let mut s = sc.session();
     s.step(cycles);
-    RunStats::from(s.report())
+    s.report()
 }
 
 fn scenario(
@@ -60,7 +59,7 @@ fn naive_matches_oracle() {
     );
     let stats = run_stats(&sc, CYCLES);
     let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "naive");
+    assert_close_to_oracle(stats.results_total(), oracle, "naive");
     // Naive has no initiation at all.
     assert_eq!(stats.initiation.total_tx_bytes(), 0);
 }
@@ -84,7 +83,7 @@ fn base_matches_oracle_with_cheaper_execution() {
     let ns = run_stats(&naive, CYCLES);
     let bs = run_stats(&base, CYCLES);
     let oracle = oracle_result_count(&base.topo, &base.data, &base.spec, CYCLES);
-    assert_close_to_oracle(bs.results, oracle, "base");
+    assert_close_to_oracle(bs.results_total(), oracle, "base");
     // Pre-filtering costs initiation but trims execution traffic.
     assert!(bs.initiation.total_tx_bytes() > 0);
     assert!(
@@ -106,7 +105,7 @@ fn innet_matches_oracle() {
     );
     let stats = run_stats(&sc, CYCLES);
     let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "innet");
+    assert_close_to_oracle(stats.results_total(), oracle, "innet");
     assert!(stats.initiation.total_tx_bytes() > 0, "exploration costs");
 }
 
@@ -121,7 +120,7 @@ fn ght_matches_oracle() {
     );
     let stats = run_stats(&sc, CYCLES);
     let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "ght");
+    assert_close_to_oracle(stats.results_total(), oracle, "ght");
 }
 
 #[test]
@@ -133,19 +132,16 @@ fn yang07_produces_results() {
         Rates::new(2, 2, 5),
         3,
     );
-    let mut run = sc.build();
     // Yang+07 needs generous queues to survive at all (§4.2 observes its
     // routing queues overflow on synthetic topologies with defaults).
-    run.initiate();
-    run.execute(CYCLES);
-    let stats = run.stats();
+    let stats = run_stats(&sc, CYCLES);
     let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
     // Through-the-base drops the S-tuple-to-window alignment (T windows
     // hold only local samples); expect the right order of magnitude.
     assert!(
-        stats.results > 0 && stats.results < oracle * 3,
+        stats.results_total() > 0 && stats.results_total() < oracle * 3,
         "yang results {} oracle {oracle}",
-        stats.results
+        stats.results_total()
     );
 }
 
@@ -167,8 +163,8 @@ fn innet_cmg_not_worse_than_plain_innet() {
     );
     // Both compute the same join.
     let oracle = oracle_result_count(&plain.topo, &plain.data, &plain.spec, 100);
-    assert_close_to_oracle(ps.results, oracle, "plain");
-    assert_close_to_oracle(cs.results, oracle, "cmg");
+    assert_close_to_oracle(ps.results_total(), oracle, "plain");
+    assert_close_to_oracle(cs.results_total(), oracle, "cmg");
 }
 
 #[test]
@@ -188,7 +184,7 @@ fn query0_one_to_one_all_algorithms_agree() {
             num_trees: 3,
         };
         let stats = run_stats(&sc, CYCLES);
-        assert_close_to_oracle(stats.results, oracle, algo.name());
+        assert_close_to_oracle(stats.results_total(), oracle, algo.name());
     }
 }
 
@@ -208,7 +204,7 @@ fn query2_perimeter_innet() {
     };
     let stats = run_stats(&sc, CYCLES);
     let oracle = oracle_result_count(&topo, &data, &spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "q2 innet");
+    assert_close_to_oracle(stats.results_total(), oracle, "q2 innet");
 }
 
 #[test]
@@ -227,7 +223,7 @@ fn query3_region_join_on_intel_lab() {
     };
     let stats = run_stats(&sc, 30);
     let oracle = oracle_result_count(&topo, &data, &spec, 30);
-    assert_close_to_oracle(stats.results, oracle, "q3");
+    assert_close_to_oracle(stats.results_total(), oracle, "q3");
 }
 
 #[test]
@@ -291,28 +287,24 @@ fn join_node_failure_recovers_via_base() {
     };
     let cycles = 60;
     // Baseline without failure.
-    let sc = mk();
-    let mut clean = sc.build();
-    clean.initiate();
-    clean.execute(cycles);
-    let clean_stats = clean.stats();
+    let clean_stats = run_stats(&mk(), cycles);
     // Kill the busiest join node mid-run.
-    let sc2 = mk();
-    let mut faulty = sc2.build();
-    faulty.initiate();
+    let mut faulty = mk().into_session();
+    faulty.step(0);
     let victim = faulty.busiest_join_node().expect("a join node exists");
     assert_ne!(victim, NodeId(0), "base should not be the victim");
-    faulty.execute_with_failure(cycles, victim, cycles / 2);
-    let faulty_stats = faulty.stats();
+    faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![victim]));
+    faulty.step(cycles);
+    let faulty_stats = faulty.report();
     // Computation must continue: a decent share of the clean results.
     assert!(
-        faulty_stats.results as f64 > clean_stats.results as f64 * 0.5,
+        faulty_stats.results_total() as f64 > clean_stats.results_total() as f64 * 0.5,
         "failure lost too much: {} vs {}",
-        faulty_stats.results,
-        clean_stats.results
+        faulty_stats.results_total(),
+        clean_stats.results_total()
     );
     // Delay grows when pairs re-route through the base (§7/Fig 14).
-    assert!(faulty_stats.avg_delay_tx >= clean_stats.avg_delay_tx * 0.9);
+    assert!(faulty_stats.avg_delay_tx() >= clean_stats.avg_delay_tx() * 0.9);
 }
 
 #[test]
@@ -348,5 +340,5 @@ fn deterministic_across_reruns() {
     let a = run_stats(&sc, 20);
     let b = run_stats(&sc, 20);
     assert_eq!(a.total_traffic_bytes(), b.total_traffic_bytes());
-    assert_eq!(a.results, b.results);
+    assert_eq!(a.results_total(), b.results_total());
 }

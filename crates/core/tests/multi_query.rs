@@ -18,12 +18,11 @@ fn algo_cfg(algo: Algorithm, opts: InnetOptions) -> AlgoConfig {
     AlgoConfig::new(algo, Sigma::from_rates(RATES)).with_innet_options(opts)
 }
 
-/// Initiate, run `cycles` sampling cycles, and collect legacy-shape
-/// multi-query stats through the [`Session`] layer.
-fn run_multi(set: QuerySet, cycles: u32) -> MultiRunStats {
+/// Initiate, run `cycles` sampling cycles, and report.
+fn run_multi(set: QuerySet, cycles: u32) -> Outcome {
     let mut s = set.into_session();
     s.step(cycles);
-    MultiRunStats::from(s.report())
+    s.report()
 }
 
 /// A `k`-query mixed workload (alternating Query 1 / Query 2) on the
@@ -157,16 +156,17 @@ fn energy_depletion_propagates_to_queries() {
         num_trees: 3,
         sharing: Sharing::SharedTree,
     };
-    let mut run = set.build();
-    run.initiate();
-    let outcome = run.execute(12);
+    let mut s = set.into_session();
+    s.step(12);
+    let outcome = s.report();
     assert!(
         !outcome.killed.is_empty(),
         "no node depleted under 2KB budget"
     );
     for &(_, v) in &outcome.killed {
-        assert!(!run.engine.is_alive(v));
-        for sh in &run.shareds {
+        assert!(!s.is_alive(v));
+        for q in 0..s.query_slots() {
+            let sh = &s.query_node(QueryId(q), v).sh;
             assert!(sh.is_dead(v), "query liveness oracle missed death of {v:?}");
         }
     }
@@ -221,12 +221,11 @@ fn lifecycle_arrival_and_departure() {
         num_trees: 3,
         sharing: Sharing::SharedTree,
     };
-    let mut run = set.build();
-    run.initiate();
-    let outcome = run.execute(20);
-    assert_eq!(outcome.arrivals, vec![(6, 1)]);
-    assert_eq!(outcome.departures, vec![(10, 0)]);
-    let stats = run.stats();
+    let mut s = set.into_session();
+    s.step(20);
+    let stats = s.report();
+    assert_eq!(stats.arrivals, vec![(6, 1)]);
+    assert_eq!(stats.departures, vec![(10, 0)]);
     // The departed query delivered while present and its snapshot survived
     // deactivation.
     assert!(stats.per_query[0].results > 0, "query 0 never delivered");
@@ -239,9 +238,7 @@ fn lifecycle_arrival_and_departure() {
     assert_eq!(stats.per_query[1].arrival, 6);
     // A departed query left no protocol state behind at the base.
     assert_eq!(
-        run.engine
-            .node(stats.base)
-            .query_node(0)
+        s.query_node(QueryId(0), stats.base)
             .base_state()
             .map(|b| b.results),
         Some(0)
@@ -311,7 +308,7 @@ fn single_member_query_set_matches_scenario() {
         }
         .into_session();
         s.step(10);
-        RunStats::from(s.report())
+        s.report()
     };
     let multi = run_multi(
         QuerySet {
@@ -330,7 +327,7 @@ fn single_member_query_set_matches_scenario() {
     );
     // Same join computation: identical result counts. (Traffic differs by
     // exactly the per-frame query tag, so compare message counts instead.)
-    assert_eq!(multi.per_query[0].results, single.results);
+    assert_eq!(multi.per_query[0].results, single.results_total());
     assert_eq!(
         multi.execution.total_tx_msgs(),
         single.execution.total_tx_msgs()

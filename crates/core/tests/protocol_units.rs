@@ -28,12 +28,22 @@ fn line_scenario(algo: Algorithm, opts: InnetOptions, assumed: Sigma) -> Scenari
     }
 }
 
+/// The session's one query.
+const Q: QueryId = QueryId(0);
+
+/// Build the scenario's session and run its initiation phase.
+fn initiated(sc: Scenario) -> Session {
+    let mut s = sc.into_session();
+    s.step(0);
+    s
+}
+
 /// Where did the single Query-0 pair land?
-fn find_join_node(run: &aspen_join::Run) -> Option<NodeId> {
-    let n = run.engine.topology().len() as u16;
+fn find_join_node(s: &Session) -> Option<NodeId> {
+    let n = s.topology().len() as u16;
     (0..n)
         .map(NodeId)
-        .find(|&id| run.engine.node(id).pair_count() > 0)
+        .find(|&id| s.query_node(Q, id).pair_count() > 0)
 }
 
 #[test]
@@ -45,13 +55,12 @@ fn placement_lands_between_endpoints_for_rare_joins() {
         InnetOptions::PLAIN,
         Sigma::new(1.0, 1.0, 0.01),
     );
-    let mut run = sc.build();
-    run.initiate();
-    let j = find_join_node(&run).expect("pair placed in-network");
+    let s = initiated(sc);
+    let j = find_join_node(&s).expect("pair placed in-network");
     // Find the pair endpoints from the assignments.
     let mut endpoints = Vec::new();
     for i in 0..11u16 {
-        if !run.engine.node(NodeId(i)).assigns.is_empty() {
+        if !s.query_node(Q, NodeId(i)).assigns.is_empty() {
             endpoints.push(i);
         }
     }
@@ -72,10 +81,9 @@ fn hot_joins_go_to_base() {
         InnetOptions::PLAIN,
         Sigma::new(1.0, 1.0, 1.0),
     );
-    let mut run = sc.build();
-    run.initiate();
-    assert_eq!(find_join_node(&run), None, "no in-network join node");
-    let base_pairs = run.engine.node(NodeId(0)).base_state().unwrap().pairs.len();
+    let s = initiated(sc);
+    assert_eq!(find_join_node(&s), None, "no in-network join node");
+    let base_pairs = s.query_node(Q, NodeId(0)).base_state().unwrap().pairs.len();
     assert_eq!(base_pairs, 1, "the pair registered at the base");
 }
 
@@ -92,22 +100,22 @@ fn learning_migrates_pair_with_windows() {
         sc.cfg.learn_interval = 10;
         sc
     };
-    let mut run = sc.build();
-    run.initiate();
-    assert_eq!(find_join_node(&run), None, "starts at the base");
-    run.execute(60);
-    let j = find_join_node(&run);
+    let mut s = initiated(sc);
+    assert_eq!(find_join_node(&s), None, "starts at the base");
+    s.step(60);
+    let results = s.report().results_total();
+    let j = find_join_node(&s);
     assert!(j.is_some(), "pair migrated in-network after learning");
     // The migrated pair carries windows (transferred, not reset-empty
     // forever): after execution they must hold tuples.
-    let jn = run.engine.node(j.unwrap());
+    let jn = s.query_node(Q, j.unwrap());
     let pair_state = jn.pairs.values().next().unwrap();
     assert!(
         !pair_state.win_s.is_empty() || !pair_state.win_t.is_empty(),
         "windows empty after migration + execution"
     );
     // And results keep flowing.
-    assert!(run.stats().results > 0);
+    assert!(results > 0);
 }
 
 #[test]
@@ -123,13 +131,13 @@ fn multicast_state_installed_at_interior_nodes() {
         sim: SimConfig::lossless(),
         num_trees: 3,
     };
-    let mut run = sc.build();
-    run.initiate();
-    run.execute(3); // mcast maintenance runs on the first sampling ticks
+    let mut s = initiated(sc);
+    s.step(3); // mcast maintenance runs on the first sampling ticks
+    s.report();
     let mut owners = 0;
     let mut interior = 0;
     for i in 0..topo.len() as u16 {
-        let n = run.engine.node(NodeId(i));
+        let n = s.query_node(Q, NodeId(i));
         if n.mc_tree.is_some() {
             owners += 1;
         }
@@ -152,13 +160,12 @@ fn group_decision_consistent_across_members() {
         sim: SimConfig::lossless(),
         num_trees: 3,
     };
-    let mut run = sc.build();
-    run.initiate();
+    let s = initiated(sc);
     // Every coordinator that decided must have a complete delta set, and
     // within each pair both endpoints must agree on base_mode.
     let mut decisions = std::collections::HashMap::new();
     for i in 0..topo.len() as u16 {
-        let n = run.engine.node(NodeId(i));
+        let n = s.query_node(Q, NodeId(i));
         for c in n.coord.values() {
             if c.last_decision.is_some() {
                 assert!(c.is_complete(), "decided without all member deltas");
@@ -193,15 +200,17 @@ fn yang07_targets_receive_forwarded_s_data() {
         sim: SimConfig::lossless(),
         num_trees: 1,
     };
-    let mut run = sc.build();
-    run.initiate();
-    run.execute(10);
+    let mut s = initiated(sc);
+    s.step(10);
     // T-side nodes hold local windows and produced results without ever
     // shipping their own data (their TX is only results + relaying).
-    let stats = run.stats();
-    assert!(stats.results > 0, "through-the-base produced no results");
+    let stats = s.report();
+    assert!(
+        stats.results_total() > 0,
+        "through-the-base produced no results"
+    );
     let t_with_windows = (0..topo.len() as u16)
-        .filter(|&i| !run.engine.node(NodeId(i)).yang_win.is_empty())
+        .filter(|&i| !s.query_node(Q, NodeId(i)).yang_win.is_empty())
         .count();
     assert!(t_with_windows > 0, "no Yang+07 local windows");
 }
@@ -218,13 +227,12 @@ fn ght_members_register_at_common_home() {
         sim: SimConfig::lossless(),
         num_trees: 1,
     };
-    let mut run = sc.build();
-    run.initiate();
+    let s = initiated(sc);
     // Each of the 5 pair keys must have exactly one home holding both
     // endpoints.
     let mut homes_with_full_groups = 0;
     for i in 0..topo.len() as u16 {
-        for g in run.engine.node(NodeId(i)).ght_groups.values() {
+        for g in s.query_node(Q, NodeId(i)).ght_groups.values() {
             let s_count = g
                 .members
                 .iter()
@@ -257,9 +265,8 @@ fn intermediate_path_failure_repairs_locally() {
         sim: SimConfig::lossless(),
         num_trees: 3,
     };
-    let mut run = sc.build();
-    run.initiate();
-    let Some(j) = find_join_node(&run) else {
+    let mut s = initiated(sc);
+    let Some(j) = find_join_node(&s) else {
         // Pair landed at the base on this layout; nothing to test.
         return;
     };
@@ -267,7 +274,7 @@ fn intermediate_path_failure_repairs_locally() {
     // path that is neither producer nor join node.
     let mut victim = None;
     'outer: for i in 0..topo.len() as u16 {
-        for a in run.engine.node(NodeId(i)).assigns.values() {
+        for a in s.query_node(Q, NodeId(i)).assigns.values() {
             for &n in &a.path {
                 if n != a.pair.s && n != a.pair.t && n != j && n != topo.base() {
                     victim = Some(n);
@@ -277,31 +284,36 @@ fn intermediate_path_failure_repairs_locally() {
         }
     }
     let Some(victim) = victim else { return };
-    run.shared.mark_dead(victim);
-    run.engine.kill(victim);
-    run.execute(30);
-    let stats = run.stats();
-    assert!(stats.results > 0, "no results after mid-path relay failure");
+    s.kill(victim);
+    s.step(30);
+    let stats = s.report();
+    assert!(
+        stats.results_total() > 0,
+        "no results after mid-path relay failure"
+    );
 }
 
 #[test]
 fn pair_sequence_numbers_keep_latest_assignment() {
     use aspen_join::node::ProducerAssign;
-    // adopt_assign must be monotonic in seq.
+    use aspen_join::scenario::default_indexed_attrs;
+    use aspen_join::{JoinNode, Shared};
+    use sensor_routing::MultiTreeSubstrate;
+    use std::sync::Arc;
+    // adopt_assign must be monotonic in seq. A white-box check on one
+    // node's protocol instance, outside any engine.
     let topo = line(5);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 1).with_pairs(1);
-    let sc = Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    let mut run = sc.build();
-    run.initiate();
+    let sub = Arc::new(MultiTreeSubstrate::build(
+        &topo,
+        1,
+        default_indexed_attrs(),
+        &data,
+    ));
+    let cfg = AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2));
+    let shared = Shared::new(&topo, sub, query0(3), &data, cfg, Default::default());
+    let mut node = JoinNode::new(NodeId(1), Arc::new(shared));
     let pair = Pair::new(NodeId(1), NodeId(2));
-    let node = run.engine.node_mut(NodeId(1));
     node.adopt_assign(pair, 5, vec![NodeId(1), NodeId(2)], Some(1));
     node.adopt_assign(pair, 3, vec![NodeId(1), NodeId(3)], Some(0)); // stale
     let a: &ProducerAssign = &node.assigns[&pair];

@@ -24,13 +24,30 @@ fn scenario(seed: u64) -> Scenario {
     }
 }
 
+/// The session's one query.
+const Q: QueryId = QueryId(0);
+
+/// The scenario's session with its initiation phase run.
+fn initiated(seed: u64) -> Session {
+    let mut s = scenario(seed).into_session();
+    s.step(0);
+    s
+}
+
+/// Run the scenario's session for `CYCLES` without dynamics.
+fn clean_results(seed: u64) -> u64 {
+    let mut s = scenario(seed).into_session();
+    s.step(CYCLES);
+    s.report().results_total()
+}
+
 /// An interior relay on some in-network pair's path: neither endpoint,
 /// nor the pair's join node, nor the base.
-fn pick_relay(run: &aspen_join::Run) -> Option<NodeId> {
-    let base = run.shared.base();
-    let n = run.engine.topology().len() as u16;
+fn pick_relay(s: &Session) -> Option<NodeId> {
+    let base = s.topology().base();
+    let n = s.topology().len() as u16;
     for id in (0..n).map(NodeId) {
-        for a in run.engine.node(id).assigns.values() {
+        for a in s.query_node(Q, id).assigns.values() {
             if a.base_mode || a.path.len() < 3 {
                 continue;
             }
@@ -48,18 +65,15 @@ fn pick_relay(run: &aspen_join::Run) -> Option<NodeId> {
 #[test]
 fn relay_failure_keeps_results_flowing() {
     // Clean baseline.
-    let mut clean = scenario(17).build();
-    clean.initiate();
-    clean.execute(CYCLES);
-    let clean_results = clean.stats().results;
+    let clean_results = clean_results(17);
     assert!(clean_results > 0);
 
     // Same deployment, kill a mid-path relay halfway through.
-    let mut faulty = scenario(17).build();
-    faulty.initiate();
+    let mut faulty = initiated(17);
     let relay = pick_relay(&faulty).expect("an in-network pair with a relay");
-    let plan = DynamicsPlan::none().kill_nodes(CYCLES / 2, vec![relay]);
-    let outcome = faulty.execute_with_plan(CYCLES, &plan);
+    faulty.set_plan(DynamicsPlan::none().kill_nodes(CYCLES / 2, vec![relay]));
+    faulty.step(CYCLES);
+    let outcome = faulty.report();
     assert_eq!(outcome.killed, vec![(CYCLES / 2, relay)]);
 
     // Results keep arriving after the failure (repair or base fallback).
@@ -67,22 +81,22 @@ fn relay_failure_keeps_results_flowing() {
         outcome.results_post_event > 0,
         "no results after the relay died"
     );
-    let faulty_results = faulty.stats().results;
+    let faulty_results = outcome.results_total();
     assert!(
         faulty_results as f64 > clean_results as f64 * 0.5,
         "failure lost too much: {faulty_results} vs {clean_results}"
     );
 
     // known_dead propagated beyond the node that first saw the failure.
-    let n = faulty.engine.topology().len() as u16;
+    let n = faulty.topology().len() as u16;
     let aware = (0..n)
         .map(NodeId)
-        .filter(|&id| faulty.engine.node(id).known_dead.contains(&relay))
+        .filter(|&id| faulty.query_node(Q, id).known_dead.contains(&relay))
         .count();
     assert!(aware >= 1, "no node learned of the relay's death");
 
     // The recovery layer actually reacted.
-    let rec = faulty.recovery_totals();
+    let rec = outcome.recovery;
     assert!(
         rec.repair_attempts > 0,
         "a dead relay must trigger repair attempts"
@@ -92,34 +106,34 @@ fn relay_failure_keeps_results_flowing() {
 
 #[test]
 fn join_node_failure_falls_back_via_plan() {
-    let mut clean = scenario(23).build();
-    clean.initiate();
-    clean.execute(CYCLES);
-    let clean_results = clean.stats().results;
+    let clean_results = clean_results(23);
 
-    let mut faulty = scenario(23).build();
-    faulty.initiate();
+    let mut faulty = initiated(23);
     let victim = faulty.busiest_join_node().expect("a join node exists");
     // `Picked` targets resolve to the busiest join node in the harness.
-    let plan = DynamicsPlan::none().kill_picked(CYCLES / 2);
-    let outcome = faulty.execute_with_plan(CYCLES, &plan);
+    faulty.set_plan(DynamicsPlan::none().kill_picked(CYCLES / 2));
+    faulty.step(CYCLES);
+    let outcome = faulty.report();
     assert_eq!(outcome.killed, vec![(CYCLES / 2, victim)]);
     assert!(outcome.results_post_event > 0, "base fallback must deliver");
-    assert!(faulty.stats().results as f64 > clean_results as f64 * 0.5);
+    assert!(outcome.results_total() as f64 > clean_results as f64 * 0.5);
 
     // At least one producer switched its pairs to base mode, or the base
     // adopted a fallback-pinned pair.
-    let n = faulty.engine.topology().len() as u16;
-    let fallbacks: u64 = faulty.recovery_totals().base_fallbacks;
+    let n = faulty.topology().len() as u16;
+    let fallbacks: u64 = outcome.recovery.base_fallbacks;
     let base_pinned = faulty
-        .engine
-        .node(faulty.shared.base())
+        .query_node(Q, outcome.base)
         .base_state()
         .map(|b| b.pairs.len())
         .unwrap_or(0);
-    let any_base_mode = (0..n)
-        .map(NodeId)
-        .any(|id| faulty.engine.node(id).assigns.values().any(|a| a.base_mode));
+    let any_base_mode = (0..n).map(NodeId).any(|id| {
+        faulty
+            .query_node(Q, id)
+            .assigns
+            .values()
+            .any(|a| a.base_mode)
+    });
     assert!(
         fallbacks > 0 || base_pinned > 0 || any_base_mode,
         "join-node death must push affected pairs toward the base"
@@ -132,23 +146,23 @@ fn join_node_failure_falls_back_via_plan() {
 #[test]
 fn faulty_runs_are_deterministic() {
     let run_once = || {
-        let mut run = scenario(31).build();
-        run.initiate();
-        let plan = DynamicsPlan::none()
-            .with_seed(9)
-            .kill_random(CYCLES / 3, 2)
-            .kill_picked(CYCLES / 2);
-        let outcome = run.execute_with_plan(CYCLES, &plan);
-        let stats = run.stats();
-        let rec = run.recovery_totals();
+        let mut run = scenario(31).into_session();
+        run.set_plan(
+            DynamicsPlan::none()
+                .with_seed(9)
+                .kill_random(CYCLES / 3, 2)
+                .kill_picked(CYCLES / 2),
+        );
+        run.step(CYCLES);
+        let outcome = run.report();
         (
             outcome.killed.clone(),
             outcome.results_pre_event,
             outcome.results_post_event,
             outcome.per_cycle_tx_bytes.clone(),
-            stats.results,
-            stats.execution.clone(),
-            rec,
+            outcome.results_total(),
+            outcome.execution.clone(),
+            outcome.recovery,
         )
     };
     let a = run_once();
@@ -166,15 +180,27 @@ fn faulty_runs_are_deterministic() {
 /// the engine picks the new probability up at the scheduled boundary.
 #[test]
 fn loss_ramp_fires_at_cycle_boundary() {
-    let mut run = scenario(41).build();
-    run.initiate();
-    let plan = DynamicsPlan::none().shift_loss(CYCLES / 2, 0.35);
-    run.execute_with_plan(CYCLES, &plan);
-    assert_eq!(run.engine.config().loss_prob, 0.35);
+    let log = EventLog::new();
+    let mut run = scenario(41).into_session();
+    run.observe(Box::new(log.clone()));
+    run.set_plan(DynamicsPlan::none().shift_loss(CYCLES / 2, 0.35));
+    run.step(CYCLES);
+    let shifts: Vec<SessionEvent> = log
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, SessionEvent::LossShifted { .. }))
+        .collect();
+    assert_eq!(
+        shifts,
+        vec![SessionEvent::LossShifted {
+            cycle: CYCLES / 2,
+            loss_prob: 0.35
+        }]
+    );
     // Loss costs retransmissions: failures and retries show up as
     // send_failures or extra attempts, but nobody died.
-    let n = run.engine.topology().len() as u16;
-    assert!((0..n).map(NodeId).all(|id| run.engine.is_alive(id)));
+    let n = run.topology().len() as u16;
+    assert!((0..n).map(NodeId).all(|id| run.is_alive(id)));
 }
 
 /// App. G mobility as a dynamics event: a `move@C` re-homes a mobile leaf
@@ -225,12 +251,12 @@ fn scheduled_leaf_move_charges_recovery_stats() {
 /// reported every result as post-event for a run with no event at all).
 #[test]
 fn event_beyond_run_length_does_not_skew_accounting() {
-    let mut run = scenario(47).build();
-    run.initiate();
-    let plan = DynamicsPlan::none().kill_random(CYCLES + 10, 2);
-    let outcome = run.execute_with_plan(CYCLES, &plan);
+    let mut run = scenario(47).into_session();
+    run.set_plan(DynamicsPlan::none().kill_random(CYCLES + 10, 2));
+    run.step(CYCLES);
+    let outcome = run.report();
     assert!(outcome.killed.is_empty(), "the kill never fires");
     assert_eq!(outcome.results_post_event, 0);
-    assert_eq!(outcome.results_pre_event, run.stats().results);
+    assert_eq!(outcome.results_pre_event, outcome.results_total());
     assert_eq!(outcome.reconvergence_cycles, None);
 }

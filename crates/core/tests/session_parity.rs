@@ -1,13 +1,14 @@
-//! Parity proof for the `Session` redesign: the unified [`Outcome`] and
-//! its `From` conversions reproduce — metric for metric, bit for bit —
-//! what the classic `build → initiate → execute → stats` harness path
-//! reports. Every metric the golden snapshots read is compared here, so
-//! `Outcome -> RunStats` and `Outcome -> MultiRunStats` cannot silently
-//! drop or distort one.
+//! Parity checks for the one session backend. A bare-wire session (the
+//! paper's single-query framing) is the tagged multi-query wire with a
+//! 0-byte query tag, so it must compute exactly what a default-tag
+//! session computes and differ from it by one byte per transmitted frame
+//! — no more. The session must also agree with itself when stepping is
+//! chunked.
 
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
-use sensor_workload::{query0, query1, query2, WorkloadData};
+use sensor_net::NodeId;
+use sensor_workload::{query1, WorkloadData};
 
 const RATES: Rates = Rates {
     s_den: 2,
@@ -32,165 +33,96 @@ fn scenario(seed: u64, algo: Algorithm, opts: InnetOptions) -> Scenario {
     }
 }
 
-/// Outcome -> RunStats round-trips every single-query metric the sweep
-/// goldens read, under loss and for several algorithm families.
-#[test]
-fn outcome_to_run_stats_round_trips_every_metric() {
-    for (seed, algo, opts) in [
-        (5, Algorithm::Naive, InnetOptions::PLAIN),
-        (6, Algorithm::Innet, InnetOptions::CMG),
-        (7, Algorithm::Ght, InnetOptions::PLAIN),
-    ] {
-        let sc = scenario(seed, algo, opts);
-        let legacy = {
-            let mut run = sc.build();
-            run.initiate();
-            run.execute(20);
-            run.stats()
-        };
-        let mut session = sc.session();
-        session.step(20);
-        let out = session.report();
-        let converted = RunStats::from(out.clone());
-
-        // The phase metrics are `Eq`: compare them outright — this covers
-        // total/base/max-load bytes and msgs, send failures, queue drops.
-        assert_eq!(converted.initiation, legacy.initiation, "{algo:?} init");
-        assert_eq!(converted.execution, legacy.execution, "{algo:?} exec");
-        assert_eq!(converted.label, legacy.label);
-        assert_eq!(converted.results, legacy.results);
-        assert_eq!(converted.avg_delay_tx, legacy.avg_delay_tx, "bitwise");
-        assert_eq!(converted.initiation_cycles, legacy.initiation_cycles);
-        assert_eq!(converted.base, legacy.base);
-        // Derived accessors agree too (these are what the sweep reads).
-        assert_eq!(
-            converted.total_traffic_bytes(),
-            legacy.total_traffic_bytes()
-        );
-        assert_eq!(converted.total_traffic_msgs(), legacy.total_traffic_msgs());
-        assert_eq!(converted.base_load_bytes(), legacy.base_load_bytes());
-        assert_eq!(converted.base_load_msgs(), legacy.base_load_msgs());
-        assert_eq!(
-            converted.max_node_load_bytes(),
-            legacy.max_node_load_bytes()
-        );
-        assert_eq!(converted.top_loads(15), legacy.top_loads(15));
-        // And the Outcome's own mirrors of the same accessors.
-        assert_eq!(out.total_traffic_bytes(), legacy.total_traffic_bytes());
-        assert_eq!(out.base_load_bytes(), legacy.base_load_bytes());
-        assert_eq!(out.results_total(), legacy.results);
-        assert_eq!(out.avg_delay_tx(), legacy.avg_delay_tx);
-    }
+/// The same single query with a 1-byte query tag on every frame.
+fn tagged_session(sc: &Scenario) -> Session {
+    Session::builder(sc.topo.clone(), sc.data.clone())
+        .sim(sc.sim.clone())
+        .trees(sc.num_trees)
+        .query(sc.spec.clone(), sc.cfg)
+        .build()
 }
 
-/// Outcome -> MultiRunStats round-trips every multi-query metric the
-/// multiq goldens read: per-query rows, aggregate loads, the shared
-/// aggregation flow and expired-frame count.
-#[test]
-fn outcome_to_multi_run_stats_round_trips_every_metric() {
-    for (seed, sharing) in [(11, Sharing::Independent), (12, Sharing::SharedTree)] {
-        let topo = sensor_net::random_with_degree(60, 7.0, seed);
-        let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-        let mk_set = || QuerySet {
-            topo: topo.clone(),
-            data: data.clone(),
-            queries: (0..3)
-                .map(|i| QueryInstance {
-                    spec: if i % 2 == 0 { query1(3) } else { query2(1) },
-                    cfg: AlgoConfig::new(Algorithm::Innet, Sigma::from_rates(RATES))
-                        .with_innet_options(InnetOptions::CM),
-                    lifecycle: if i == 2 {
-                        Lifecycle::arriving(4)
-                    } else {
-                        Lifecycle::STATIC
-                    },
-                })
-                .collect(),
-            sim: SimConfig::default().with_seed(seed).with_fair_mac(true),
-            num_trees: 3,
-            sharing,
-        };
-        let legacy = {
-            let mut run = mk_set().build();
-            run.initiate();
-            run.execute(16);
-            run.stats()
-        };
-        let mut session = mk_set().session();
-        session.step(16);
-        let converted = MultiRunStats::from(session.report());
-
-        assert_eq!(converted.initiation, legacy.initiation);
-        assert_eq!(converted.execution, legacy.execution);
-        assert_eq!(converted.shared_flow, legacy.shared_flow);
-        assert_eq!(converted.base, legacy.base);
-        assert_eq!(converted.expired_frames, legacy.expired_frames);
-        assert_eq!(converted.per_query.len(), legacy.per_query.len());
-        for (c, l) in converted.per_query.iter().zip(&legacy.per_query) {
-            assert_eq!(c.label, l.label);
-            assert_eq!(c.name, l.name);
-            assert_eq!(c.arrival, l.arrival);
-            assert_eq!(c.departure, l.departure);
-            assert_eq!(c.results, l.results);
-            assert_eq!(c.avg_delay_tx, l.avg_delay_tx, "bitwise");
-            assert_eq!(c.flow, l.flow);
-        }
-        assert_eq!(converted.results_total(), legacy.results_total());
-        assert_eq!(converted.avg_delay_tx(), legacy.avg_delay_tx(), "bitwise");
-        assert_eq!(
-            converted.total_traffic_bytes(),
-            legacy.total_traffic_bytes()
-        );
-        assert_eq!(converted.total_traffic_msgs(), legacy.total_traffic_msgs());
-        assert_eq!(converted.base_load_bytes(), legacy.base_load_bytes());
-        assert_eq!(converted.base_load_msgs(), legacy.base_load_msgs());
-        assert_eq!(
-            converted.max_node_load_bytes(),
-            legacy.max_node_load_bytes()
-        );
-    }
+/// Step 10 cycles under a random-kill plan, kill `victim` (or the
+/// busiest join node) directly, step 10 more, and report. Returns the
+/// directly killed node so both wires can be handed the same one.
+fn run_with_failures(mut s: Session, seed: u64, victim: Option<NodeId>) -> (Outcome, NodeId) {
+    s.set_plan(DynamicsPlan::none().with_seed(seed).kill_random(6, 2));
+    s.step(10);
+    let victim = victim
+        .or_else(|| s.busiest_join_node())
+        .unwrap_or(NodeId(1));
+    s.kill(victim);
+    s.step(10);
+    (s.report(), victim)
 }
 
-/// Outcome -> DynamicsOutcome round-trips the recovery trace under a
-/// failure schedule (the metrics `experiments recovery` reads).
+/// A `bare_wire()` session and a default-tag session on the same query
+/// compute the same thing — results, delays, message counts, failures,
+/// kills and recovery — and the tag costs exactly one byte per frame.
 #[test]
-fn outcome_to_dynamics_outcome_round_trips_the_trace() {
-    let mk = || {
-        let topo = sensor_net::random_with_degree(60, 7.0, 31);
-        let data =
-            WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 31).with_pairs(6);
-        Scenario {
-            topo,
-            data,
-            spec: query0(3),
-            cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
-            sim: SimConfig::default().with_seed(31),
-            num_trees: 3,
+fn bare_wire_is_the_tagged_wire_minus_one_byte_per_frame() {
+    let algos = [
+        (Algorithm::Naive, InnetOptions::PLAIN),
+        (Algorithm::Base, InnetOptions::PLAIN),
+        (Algorithm::Ght, InnetOptions::PLAIN),
+        (Algorithm::Yang07, InnetOptions::PLAIN),
+        (Algorithm::Innet, InnetOptions::CMG.with_learning()),
+        (Algorithm::Innet, InnetOptions::CMPG),
+    ];
+    for (algo, opts) in algos {
+        for seed in [3, 17, 29] {
+            let sc = scenario(seed, algo, opts);
+            let ctx = format!("{} seed {seed}", sc.cfg.label());
+            let (bare, victim) = run_with_failures(sc.session(), seed, None);
+            let (tagged, _) = run_with_failures(tagged_session(&sc), seed, Some(victim));
+            assert_eq!(bare.per_query.len(), 1, "{ctx}");
+            assert_eq!(
+                bare.per_query[0].results, tagged.per_query[0].results,
+                "{ctx}: results"
+            );
+            assert_eq!(
+                bare.avg_delay_tx(),
+                tagged.avg_delay_tx(),
+                "{ctx}: avg_delay_tx"
+            );
+            assert_eq!(
+                bare.initiation_cycles, tagged.initiation_cycles,
+                "{ctx}: initiation_cycles"
+            );
+            for (phase, b, t) in [
+                ("initiation", &bare.initiation, &tagged.initiation),
+                ("execution", &bare.execution, &tagged.execution),
+            ] {
+                assert_eq!(b.total_tx_msgs(), t.total_tx_msgs(), "{ctx}: {phase} msgs");
+                assert_eq!(
+                    b.total_send_failures(),
+                    t.total_send_failures(),
+                    "{ctx}: {phase} send failures"
+                );
+                assert_eq!(
+                    b.total_queue_drops(),
+                    t.total_queue_drops(),
+                    "{ctx}: {phase} queue drops"
+                );
+                assert_eq!(
+                    t.total_tx_bytes() - b.total_tx_bytes(),
+                    b.total_tx_msgs(),
+                    "{ctx}: {phase} bytes differ by one tag byte per frame"
+                );
+            }
+            assert_eq!(bare.killed, tagged.killed, "{ctx}: killed");
+            assert_eq!(bare.killed.len(), 3, "{ctx}: plan and direct kills fired");
+            assert_eq!(
+                bare.queued_msgs_lost, tagged.queued_msgs_lost,
+                "{ctx}: queued_msgs_lost"
+            );
+            assert_eq!(bare.recovery, tagged.recovery, "{ctx}: recovery");
+            assert_eq!(
+                bare.results_pre_event, tagged.results_pre_event,
+                "{ctx}: results_pre_event"
+            );
         }
-    };
-    let plan = DynamicsPlan::none()
-        .with_seed(99)
-        .kill_random(8, 2)
-        .mark(12);
-    let mut run = mk().build();
-    run.initiate();
-    let legacy = run.execute_with_plan(24, &plan);
-    let legacy_rec = run.recovery_totals();
-
-    let mut session = mk().session();
-    session.set_plan(plan);
-    session.step(24);
-    let out = session.report();
-    let converted = DynamicsOutcome::from(out.clone());
-
-    assert_eq!(converted.killed, legacy.killed);
-    assert_eq!(converted.queued_msgs_lost, legacy.queued_msgs_lost);
-    assert_eq!(converted.per_cycle_tx_bytes, legacy.per_cycle_tx_bytes);
-    assert_eq!(converted.results_pre_event, legacy.results_pre_event);
-    assert_eq!(converted.results_post_event, legacy.results_post_event);
-    assert_eq!(converted.reconvergence_cycles, legacy.reconvergence_cycles);
-    assert_eq!(out.recovery, legacy_rec);
-    assert!(!out.killed.is_empty(), "the kills must actually fire");
+    }
 }
 
 /// The session agrees with itself even when stepping is chunked:

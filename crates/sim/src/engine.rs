@@ -114,6 +114,33 @@ enum Sink<'a, M> {
     /// Sandbox path ([`Ctx::sandbox`]): captured `(target, payload, msg)`
     /// triples for a wrapper protocol to re-frame.
     Scratch(&'a mut Vec<(Target, u32, M)>),
+    /// Wrap path ([`Ctx::wrap`]): each send is re-framed into the outer
+    /// message type and enqueued on the outer context right away.
+    Wrapped(&'a mut (dyn Forward<M> + 'a)),
+}
+
+/// The outer side of a [`Ctx::wrap`]: frames a nested message and
+/// enqueues it on the wrapping context.
+trait Forward<N> {
+    fn enqueue(&mut self, target: Target, payload_bytes: u32, msg: N) -> bool;
+    fn queue_len(&self) -> usize;
+}
+
+struct Framer<'a, 'b, M, F> {
+    outer: &'a mut Ctx<'b, M>,
+    extra_bytes: u32,
+    frame: F,
+}
+
+impl<N, M, F: FnMut(N) -> M> Forward<N> for Framer<'_, '_, M, F> {
+    fn enqueue(&mut self, target: Target, payload_bytes: u32, msg: N) -> bool {
+        self.outer
+            .enqueue(target, payload_bytes + self.extra_bytes, (self.frame)(msg))
+    }
+
+    fn queue_len(&self) -> usize {
+        self.outer.queue_len()
+    }
 }
 
 /// Node-side API handed to protocol callbacks.
@@ -180,6 +207,7 @@ impl<M> Ctx<'_, M> {
                 items.push((target, payload_bytes, msg));
                 true
             }
+            Sink::Wrapped(fwd) => fwd.enqueue(target, payload_bytes, msg),
         }
     }
 
@@ -196,6 +224,7 @@ impl<M> Ctx<'_, M> {
         match &self.sink {
             Sink::Pooled { queue, .. } => queue.len(),
             Sink::Scratch(items) => items.len(),
+            Sink::Wrapped(fwd) => fwd.queue_len(),
         }
     }
 
@@ -209,7 +238,10 @@ impl<M> Ctx<'_, M> {
     ///
     /// Self-send rejection applies inside the sandbox (charged to this
     /// node's `self_send_drops`); the real queue-capacity check happens
-    /// when the wrapper emits.
+    /// when the wrapper emits. Inside the callback, the capacity check and
+    /// [`Ctx::queue_len`] see only the callback's own emissions, not the
+    /// node's queue. A wrapper that re-frames one message at a time should
+    /// use [`Ctx::wrap`] instead.
     pub fn sandbox<N, R>(&mut self, f: impl FnOnce(&mut Ctx<'_, N>) -> R) -> (R, Vec<Emitted<N>>) {
         let mut scratch: Vec<(Target, u32, N)> = Vec::new();
         let r = {
@@ -237,6 +269,46 @@ impl<M> Ctx<'_, M> {
             })
             .collect();
         (r, emitted)
+    }
+
+    /// Run a protocol callback that speaks a *nested* message type,
+    /// framing each of its sends with `frame` (adding `extra_bytes` of
+    /// payload) and enqueueing it on this node's queue at once. Sends see
+    /// the real queue: a full queue rejects them (counted once in
+    /// `queue_drops`), [`Ctx::queue_len`] reports its true length, and a
+    /// self-send is counted once in `self_send_drops`.
+    pub fn wrap<N, R>(
+        &mut self,
+        extra_bytes: u32,
+        frame: impl FnMut(N) -> M,
+        f: impl FnOnce(&mut Ctx<'_, N>) -> R,
+    ) -> R {
+        let (id, now, topo) = (self.id, self.now, self.topo);
+        let (queue_capacity, header_bytes) = (self.queue_capacity, self.header_bytes);
+        // The outer context owns the drop counters while the framer
+        // borrows it; inner self-sends are tallied here and added after.
+        // (Inner capacity drops are charged by the outer enqueue.)
+        let (mut self_send_drops, mut unused) = (0, 0);
+        let r = {
+            let mut framer = Framer {
+                outer: &mut *self,
+                extra_bytes,
+                frame,
+            };
+            let mut inner = Ctx {
+                id,
+                now,
+                topo,
+                sink: Sink::Wrapped(&mut framer),
+                queue_capacity,
+                queue_drops: &mut unused,
+                self_send_drops: &mut self_send_drops,
+                header_bytes,
+            };
+            f(&mut inner)
+        };
+        *self.self_send_drops += self_send_drops;
+        r
     }
 
     /// Enqueue a captured emission: unicast when `to` is `Some`, radio
@@ -309,6 +381,17 @@ impl<M: Clone> Ctx<'_, M> {
                         *self.queue_drops += 1;
                     } else {
                         items.push((Target::Unicast(to), payload_bytes, msg.clone()));
+                        accepted += 1;
+                    }
+                }
+                accepted
+            }
+            Sink::Wrapped(fwd) => {
+                let mut accepted = 0usize;
+                for &to in targets {
+                    if to == self.id {
+                        *self.self_send_drops += 1;
+                    } else if fwd.enqueue(Target::Unicast(to), payload_bytes, msg.clone()) {
                         accepted += 1;
                     }
                 }
@@ -1615,6 +1698,76 @@ mod tests {
         // Unicast + broadcast both re-framed and delivered as flow 1.
         assert_eq!(eng.node(NodeId(1)).got, [0, 2]);
         assert_eq!(eng.metrics().flow(1).tx_msgs, 2);
+    }
+
+    #[test]
+    fn wrap_self_send_is_counted_once() {
+        let mut eng = Engine::new(line(3), SimConfig::lossless(), |_| TwoFlow { got: [0; 2] });
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.wrap(
+                1,
+                |m: u32| (1, m),
+                |inner| {
+                    assert!(!inner.send(NodeId(0), 6, 7), "self-send rejected");
+                },
+            );
+        });
+        let m0 = eng.metrics().node(NodeId(0));
+        assert_eq!(m0.self_send_drops, 1);
+        assert_eq!(m0.queue_drops, 0);
+        assert_eq!(eng.queued_msgs(), 0);
+    }
+
+    #[test]
+    fn wrap_queue_len_reports_the_real_queue() {
+        let mut eng = Engine::new(line(3), SimConfig::lossless(), |_| TwoFlow { got: [0; 2] });
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.send(NodeId(1), 4, (0, 1));
+            ctx.wrap(
+                1,
+                |m: u32| (1, m),
+                |inner| {
+                    assert_eq!(inner.id, NodeId(0));
+                    // The node's queue, not just this callback's sends.
+                    assert_eq!(inner.queue_len(), 1);
+                    assert!(inner.send(NodeId(1), 6, 42));
+                    assert_eq!(inner.queue_len(), 2);
+                    assert!(inner.broadcast(2, 9));
+                    assert_eq!(inner.send_many(&[NodeId(1), NodeId(0)], 3, 5), 1);
+                    assert_eq!(inner.queue_len(), 4);
+                },
+            );
+            assert_eq!(ctx.queue_len(), 4);
+        });
+        assert_eq!(eng.metrics().node(NodeId(0)).self_send_drops, 1);
+        eng.run_until_quiet(10);
+        assert_eq!(eng.node(NodeId(1)).got, [1, 3]);
+        // Framed payloads carry the extra byte; the header is added once.
+        let header = SimConfig::lossless().header_bytes as u64;
+        assert_eq!(eng.metrics().flow(1).tx_bytes, 7 + 3 + 4 + 3 * header);
+    }
+
+    #[test]
+    fn wrap_send_onto_full_queue_is_rejected_and_counted_once() {
+        let cfg = SimConfig::lossless().with_queue_capacity(2);
+        let mut eng = Engine::new(line(3), cfg, |_| TwoFlow { got: [0; 2] });
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.send(NodeId(1), 4, (0, 1));
+            ctx.wrap(
+                1,
+                |m: u32| (1, m),
+                |inner| {
+                    assert!(inner.send(NodeId(1), 4, 2));
+                    assert_eq!(inner.queue_len(), 2);
+                    assert!(!inner.send(NodeId(1), 4, 3), "queue is full");
+                    assert!(!inner.broadcast(4, 4), "queue is full");
+                },
+            );
+        });
+        let m0 = eng.metrics().node(NodeId(0));
+        assert_eq!(m0.queue_drops, 2);
+        assert_eq!(m0.self_send_drops, 0);
+        assert_eq!(eng.queued_msgs(), 2);
     }
 
     #[test]

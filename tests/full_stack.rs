@@ -29,8 +29,11 @@ fn parsed_query_runs_end_to_end() {
     };
     let mut session = sc.session();
     session.step(30);
-    let stats = RunStats::from(session.report());
-    assert!(stats.results > 0, "parsed query produced no results");
+    let stats = session.report();
+    assert!(
+        stats.results_total() > 0,
+        "parsed query produced no results"
+    );
 }
 
 #[test]
@@ -48,12 +51,12 @@ fn substrate_search_agrees_with_protocol_assignments() {
         sim: SimConfig::lossless(),
         num_trees: 3,
     };
-    let mut run = sc.build();
-    run.initiate();
+    let mut session = sc.into_session();
+    session.step(0);
     // Pairs discovered by the protocol (producer-side assignments).
     let mut proto_pairs = std::collections::BTreeSet::new();
     for i in 0..topo.len() as u16 {
-        for p in run.engine.node(NodeId(i)).assigns.keys() {
+        for p in session.query_node(QueryId(0), NodeId(i)).assigns.keys() {
             proto_pairs.insert((p.s, p.t));
         }
     }
@@ -106,7 +109,7 @@ fn mesh_profile_message_counts_track_bytes() {
         };
         let mut session = sc.session();
         session.step(40);
-        let st = RunStats::from(session.report());
+        let st = session.report();
         totals.push((st.total_traffic_msgs(), st.total_traffic_bytes()));
     }
     assert!(
@@ -132,7 +135,7 @@ fn lossy_network_still_computes_most_results() {
         };
         let mut session = sc.session();
         session.step(40);
-        RunStats::from(session.report())
+        session.report()
     };
     let clean = mk(0.0);
     let lossy = mk(0.10);
@@ -140,10 +143,10 @@ fn lossy_network_still_computes_most_results() {
     assert!(lossy.total_traffic_bytes() > clean.total_traffic_bytes());
     // ...but link-layer recovery keeps the computation intact.
     assert!(
-        lossy.results as f64 > clean.results as f64 * 0.8,
+        lossy.results_total() as f64 > clean.results_total() as f64 * 0.8,
         "losing too many results under 10% loss: {} vs {}",
-        lossy.results,
-        clean.results
+        lossy.results_total(),
+        clean.results_total()
     );
 }
 
