@@ -1,8 +1,8 @@
-//! Golden-output snapshot tests: the JSON reports of `experiments sweep
-//! --quick`, `experiments recovery --quick`, `experiments multiq --quick`,
-//! `experiments optimize --quick` and `experiments warmstart --quick` are
-//! compared byte-for-byte against committed fixtures, so a
-//! report-format change or a determinism regression (seeding, float
+//! Golden-output snapshot tests: for each of the six grid experiments
+//! (`experiments sweep|recovery|multiq|optimize|warmstart|federate
+//! --quick`) the JSON report, the CSV report and the stdout (table plus
+//! headline line) are compared byte-for-byte against committed fixtures,
+//! so a report-format change or a determinism regression (seeding, float
 //! formatting, aggregation order, engine behavior) fails loudly instead
 //! of silently shifting every downstream number.
 //!
@@ -73,54 +73,74 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-/// `experiments sweep --quick` JSON (the 24-run CI grid).
-#[test]
-fn sweep_quick_json_matches_golden() {
-    check_golden("sweep_quick.json", &SweepGrid::quick().run().to_json());
+/// Check one quick experiment's three outputs: `NAME_quick.json`,
+/// `NAME_quick.csv` and `NAME_quick.txt` (stdout).
+fn check_outputs(name: &str, json: &str, csv: &str, stdout: &str) {
+    check_golden(&format!("{name}_quick.json"), json);
+    check_golden(&format!("{name}_quick.csv"), csv);
+    check_golden(&format!("{name}_quick.txt"), stdout);
 }
 
-/// `experiments recovery --quick` JSON (the §7 failure-schedule grid).
+/// `experiments sweep --quick` (the 24-run CI grid).
 #[test]
-fn recovery_quick_json_matches_golden() {
-    check_golden(
-        "recovery_quick.json",
-        &SweepGrid::recovery_quick().run().to_json(),
-    );
+fn sweep_quick_outputs_match_golden() {
+    let r = SweepGrid::quick().run();
+    let stdout = format!("{}\n", r.to_table().to_aligned_string());
+    check_outputs("sweep", &r.to_json(), &r.to_csv(), &stdout);
 }
 
-/// `experiments multiq --quick` JSON (the 4-query shared-vs-independent
+/// `experiments recovery --quick` (the §7 failure-schedule grid).
+#[test]
+fn recovery_quick_outputs_match_golden() {
+    let r = SweepGrid::recovery_quick().run();
+    let stdout = format!("{}\n", r.to_recovery_table().to_aligned_string());
+    check_outputs("recovery", &r.to_json(), &r.to_csv(), &stdout);
+}
+
+/// `experiments multiq --quick` (the 4-query shared-vs-independent
 /// comparison).
 #[test]
-fn multiq_quick_json_matches_golden() {
-    check_golden("multiq_quick.json", &MultiqConfig::quick().run().to_json());
+fn multiq_quick_outputs_match_golden() {
+    let r = MultiqConfig::quick().run();
+    let stdout = format!(
+        "{}\n{}\n",
+        r.to_table().to_aligned_string(),
+        r.savings_line()
+    );
+    check_outputs("multiq", &r.to_json(), &r.to_csv(), &stdout);
 }
 
-/// `experiments optimize --quick` JSON (the n-way join plan quality
+/// `experiments optimize --quick` (the n-way join plan quality
 /// comparison: bushy DP vs left-deep vs pairwise-greedy).
 #[test]
-fn optimize_quick_json_matches_golden() {
-    check_golden(
-        "optimize_quick.json",
-        &OptimizeConfig::quick().run().to_json(),
-    );
+fn optimize_quick_outputs_match_golden() {
+    let r = OptimizeConfig::quick().run();
+    let stdout = format!("{}\n{}\n", r.to_table().to_aligned_string(), r.headline());
+    check_outputs("optimize", &r.to_json(), &r.to_csv(), &stdout);
 }
 
-/// `experiments warmstart --quick` JSON (the warm-vs-cold admission
+/// `experiments warmstart --quick` (the warm-vs-cold admission
 /// comparison over a repeated-shape workload).
 #[test]
-fn warmstart_quick_json_matches_golden() {
-    check_golden(
-        "warmstart_quick.json",
-        &WarmstartConfig::quick().run().to_json(),
+fn warmstart_quick_outputs_match_golden() {
+    let r = WarmstartConfig::quick().run();
+    let stdout = format!(
+        "{}\n{}\n",
+        r.to_table().to_aligned_string(),
+        r.savings_line()
     );
+    check_outputs("warmstart", &r.to_json(), &r.to_csv(), &stdout);
 }
 
-/// `experiments federate --quick` JSON (the cross-network federation
+/// `experiments federate --quick` (the cross-network federation
 /// comparison: gateway-routed joins vs ship-everything-to-one-base).
 #[test]
-fn federate_quick_json_matches_golden() {
-    check_golden(
-        "federate_quick.json",
-        &FederateConfig::quick().run().to_json(),
+fn federate_quick_outputs_match_golden() {
+    let r = FederateConfig::quick().run();
+    let stdout = format!(
+        "{}\n{}\n",
+        r.to_table().to_aligned_string(),
+        r.savings_line()
     );
+    check_outputs("federate", &r.to_json(), &r.to_csv(), &stdout);
 }
