@@ -5,13 +5,15 @@
 //! is one of: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //! fig10 fig11 fig12 fig13 fig14 fig16 fig17 fig18 fig19 fig20 appg all.
 //!
-//! `experiments sweep [...]` runs a declarative multi-seed grid over
-//! {size, density, loss, query, rates, algorithm, dynamics} in parallel and
-//! emits an aligned table (stdout) plus JSON and CSV files; see
-//! `sweep --help`. `experiments recovery [...]` is the same machinery with
-//! the §7 failure schedules as defaults and the recovery-metric table
-//! (repair success rate, tuples lost, recovery overhead, re-convergence)
-//! as output.
+//! Six grid subcommands run through the one harness in
+//! [`aspen_bench::harness`]: `experiments sweep [...]` runs a declarative
+//! multi-seed grid over {size, density, loss, query, rates, algorithm,
+//! dynamics} in parallel and emits an aligned table (stdout) plus JSON and
+//! CSV files; `recovery` is the same grid with the §7 failure schedules as
+//! defaults and the recovery-metric table as output; `multiq`, `optimize`,
+//! `warmstart` and `federate` compare delivery, planning, admission and
+//! federation modes. Each takes the shared flags plus its own; see
+//! `experiments <name> --help`. Bad input exits 2 with the usage text.
 //!
 //! Numbers will not equal the paper's absolute values (different simulator,
 //! synthetic Intel data) — the *shape* is the reproduction target: who
@@ -19,12 +21,10 @@
 //! records paper-vs-measured for every experiment.
 
 use aspen_bench::federate::FederateConfig;
+use aspen_bench::harness::{self, Experiment};
 use aspen_bench::multiq::MultiqConfig;
 use aspen_bench::optimize::OptimizeConfig;
-use aspen_bench::sweep::{
-    parse_algo, parse_density, seed_range, DynamicsSpec, MultiSpec, QueryId, SweepGrid,
-    WorkloadSel, SEED_BASE,
-};
+use aspen_bench::sweep::{seed_range, QueryId, Recovery, SweepGrid, SEED_BASE};
 use aspen_bench::warmstart::WarmstartConfig;
 use aspen_bench::*;
 use aspen_join::prelude::*;
@@ -36,6 +36,7 @@ use sensor_routing::search::{best_path_per_target, find_paths, SearchQuery};
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_summaries::Constraint;
 use sensor_workload::{query0, query1, query2, query3, WorkloadData};
+use std::process::ExitCode;
 
 struct Opts {
     seeds: u64,
@@ -55,7 +56,7 @@ type ExpFn = fn(&Opts);
 /// Every named experiment, in presentation order. `main`'s dispatch *and*
 /// the usage string derive from this one table, so a new experiment
 /// registers exactly once and can no longer be omitted from the usage
-/// list (the drift this replaces: sweep/recovery were missing from it).
+/// list.
 const EXPERIMENTS: &[(&str, ExpFn)] = &[
     ("table1", table1),
     ("table2", table2),
@@ -81,27 +82,22 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
     ("appg", appg),
 ];
 
-/// Grid-style subcommands with their own argument grammar, dispatched
-/// before figure parsing. Also part of the generated usage.
-const SUBCOMMANDS: &[(&str, &str)] = &[
-    ("sweep", "declarative multi-seed scenario grid"),
-    ("recovery", "§7 failure schedules + recovery metrics"),
-    (
-        "multiq",
-        "concurrent multi-query workloads, shared vs independent",
-    ),
-    (
-        "optimize",
-        "n-way join plans: bushy DP vs left-deep vs greedy",
-    ),
-    (
-        "warmstart",
-        "warm vs cold admission over a repeated-shape workload",
-    ),
-    (
-        "federate",
-        "cross-network joins over gateways, routed vs ship-to-base",
-    ),
+/// A grid subcommand: name, blurb and the harness driver running it.
+type Grid = (&'static str, &'static str, fn(&[String]) -> ExitCode);
+
+const fn grid<E: Experiment>() -> Grid {
+    (E::NAME, E::ABOUT, harness::main::<E>)
+}
+
+/// The grid subcommands, each an [`Experiment`] run by the one harness
+/// driver. Also part of the generated usage.
+const GRIDS: [Grid; 6] = [
+    grid::<SweepGrid>(),
+    grid::<Recovery>(),
+    grid::<MultiqConfig>(),
+    grid::<OptimizeConfig>(),
+    grid::<WarmstartConfig>(),
+    grid::<FederateConfig>(),
 ];
 
 fn usage_string() -> String {
@@ -110,7 +106,7 @@ fn usage_string() -> String {
         "usage: experiments <{}|all> [--quick|--full|--seeds N|--cycles N]\n",
         ids.join("|")
     );
-    for (name, blurb) in SUBCOMMANDS {
+    for (name, blurb, _) in GRIDS {
         out.push_str(&format!(
             "       experiments {name} [options]   # {blurb} (see `{name} --help`)\n"
         ));
@@ -119,43 +115,18 @@ fn usage_string() -> String {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The grid subcommands own their argument grammar (list-valued flags).
-    match args.first().map(String::as_str) {
-        Some("sweep") => {
-            sweep_cmd(&args[1..], SweepMode::Sweep);
-            return;
-        }
-        Some("recovery") => {
-            sweep_cmd(&args[1..], SweepMode::Recovery);
-            return;
-        }
-        Some("multiq") => {
-            multiq_cmd(&args[1..]);
-            return;
-        }
-        Some("optimize") => {
-            optimize_cmd(&args[1..]);
-            return;
-        }
-        Some("warmstart") => {
-            warmstart_cmd(&args[1..]);
-            return;
-        }
-        Some("federate") => {
-            federate_cmd(&args[1..]);
-            return;
-        }
-        _ => {}
-    }
-    let mut which: Vec<String> = Vec::new();
+/// Parse the figure path's arguments: experiment ids (or `all`) and the
+/// `--quick`/`--full`/`--seeds N`/`--cycles N` options, in order.
+type Selected = Vec<&'static (&'static str, ExpFn)>;
+
+fn parse_figure_args(args: &[String]) -> Result<(Selected, Opts), String> {
     let mut opts = Opts {
         seeds: QUICK_SEEDS,
         quick: false,
         cycles_override: None,
     };
-    let mut it = args.iter().peekable();
+    let mut selected = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => {
@@ -163,867 +134,48 @@ fn main() {
                 opts.seeds = 2;
             }
             "--full" => opts.seeds = FULL_SEEDS,
-            "--seeds" => {
-                opts.seeds = it.next().and_then(|v| v.parse().ok()).unwrap_or(3);
-            }
+            "--seeds" => opts.seeds = harness::seed_count(a, harness::value(a, it.next())?)?,
             "--cycles" => {
-                opts.cycles_override = it.next().and_then(|v| v.parse().ok());
+                opts.cycles_override = Some(harness::number(a, harness::value(a, it.next())?)?)
             }
-            other => which.push(other.to_string()),
+            "all" => selected.extend(EXPERIMENTS),
+            id if id.starts_with('-') => return Err(harness::unknown_option(id)),
+            id => selected.push(
+                EXPERIMENTS
+                    .iter()
+                    .find(|&&(n, _)| n == id)
+                    .ok_or_else(|| format!("unknown experiment: {id}"))?,
+            ),
         }
     }
-    if which.is_empty() {
-        eprintln!("{}", usage_string());
-        std::process::exit(2);
+    if selected.is_empty() {
+        return Err("no experiment given".into());
     }
-    let selected: Vec<&str> = if which.iter().any(|w| w == "all") {
-        EXPERIMENTS.iter().map(|&(n, _)| n).collect()
-    } else {
-        which.iter().map(String::as_str).collect()
+    Ok((selected, opts))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // The grid subcommands own their argument grammar (list-valued flags).
+    if let Some(&(_, _, grid_main)) = GRIDS
+        .iter()
+        .find(|&&(name, ..)| args.first().is_some_and(|a| a == name))
+    {
+        return grid_main(&args[1..]);
+    }
+    let (selected, opts) = match parse_figure_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("experiments: {msg}\n{}", usage_string());
+            return ExitCode::from(2);
+        }
     };
-    for exp in selected {
+    for &(exp, f) in selected {
         let t0 = std::time::Instant::now();
-        match EXPERIMENTS.iter().find(|&&(n, _)| n == exp) {
-            Some(&(_, f)) => f(&opts),
-            None => {
-                eprintln!("unknown experiment: {exp}\n{}", usage_string());
-                continue;
-            }
-        }
+        f(&opts);
         eprintln!("[{exp} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
-}
-
-fn sigma_of(r: Rates) -> Sigma {
-    Sigma::from_rates(r)
-}
-
-// ----------------------------------------------------------------------
-// The `sweep` and `recovery` subcommands: the full scenario grid from the
-// CLI. `recovery` is the same machinery with the §7 dynamics presets as
-// defaults and the recovery-metric table as output.
-
-#[derive(Clone, Copy, PartialEq)]
-enum SweepMode {
-    Sweep,
-    Recovery,
-}
-
-const SWEEP_USAGE: &str = "usage: experiments <sweep|recovery> [options]
-  --quick              sweep: the 24-run CI grid (2 sizes x 3 loss x 2 algos x 2 seeds)
-                       recovery: the 16-run §7 grid (static + 3 failure schedules x 2 algos x 2 seeds)
-  --sizes N,N,..       topology sizes            (default 100)
-  --densities a,b,..   sparse|moderate|medium|dense|grid (default moderate)
-  --loss p,p,..        link-loss probabilities   (default 0.05)
-  --queries q,q,..     q0|q1|q2|q3, or concurrent sets qKxN / mixN with
-                       optional @S arrival stagger and +shared aggregation
-                       (e.g. q1x4, mix4@5+shared)  (default q1)
-  --st-dens N,N,..     sigma_st denominators, crossed with the 5 ratio stages
-  --algos a,a,..       naive|base|ght|yang+07|innet|innet-cm|innet-cmp|innet-cmg|innet-cmpg|innet-learn|innet-cmg-learn
-  --dynamics d,d,..    network-dynamics scenarios fired at cycle boundaries:
-                       none | randN@C (N random kills at cycle C) | join@C (busiest
-                       join node) | regionR@C (all nodes within R radio ranges of a
-                       random center) | rateshift@C (swap sigma_s/sigma_t) | lossP@C
-                       (step link loss to P) | move@C (re-home a random mobile
-                       leaf, App. G)              (default none)
-  --seeds N            replicate seeds per cell  (default 3)
-  --cycles N           execution sampling cycles (default 60)
-  --trees N            routing trees             (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/sweep/sweep or target/recovery/recovery)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn sweep_bad(msg: &str) -> ! {
-    eprintln!("sweep: {msg}\n{SWEEP_USAGE}");
-    std::process::exit(2);
-}
-
-/// Comma-separated list value of `flag`; a missing or empty value is a
-/// usage error (an empty dimension would silently yield a 0-cell sweep).
-fn csv_items(flag: &str, v: Option<&String>) -> Vec<String> {
-    let items: Vec<String> = v
-        .map(|s| {
-            s.split(',')
-                .filter(|p| !p.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    if items.is_empty() {
-        sweep_bad(&format!("{flag} needs a comma-separated value list"));
-    }
-    items
-}
-
-fn sweep_cmd(args: &[String], mode: SweepMode) {
-    // --quick selects the base grid, so apply it first regardless of where
-    // it appears: every other flag then overrides it, in any order.
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut grid = match (mode, quick) {
-        (SweepMode::Sweep, true) => SweepGrid::quick(),
-        (SweepMode::Sweep, false) => SweepGrid::default(),
-        // Recovery defaults to the §7 grid either way; --quick trims seeds.
-        (SweepMode::Recovery, _) => SweepGrid::recovery_quick(),
-    };
-    if mode == SweepMode::Recovery && !quick {
-        grid.seeds = seed_range(3);
-    }
-    let mut out_prefix = match (mode, quick) {
-        (SweepMode::Sweep, true) => "target/sweep/quick".to_string(),
-        (SweepMode::Sweep, false) => "target/sweep/sweep".to_string(),
-        (SweepMode::Recovery, _) => "target/recovery/recovery".to_string(),
-    };
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{SWEEP_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--sizes" => {
-                grid.sizes = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad size {s}")))
-                    })
-                    .collect();
-            }
-            "--densities" => {
-                grid.densities = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        parse_density(s).unwrap_or_else(|| sweep_bad(&format!("bad density {s}")))
-                    })
-                    .collect();
-            }
-            "--loss" => {
-                grid.loss_probs = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        let p: f64 = s
-                            .parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad loss {s}")));
-                        if !(0.0..1.0).contains(&p) {
-                            sweep_bad(&format!("loss {s} outside [0,1)"));
-                        }
-                        p
-                    })
-                    .collect();
-            }
-            "--queries" => {
-                grid.queries = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        WorkloadSel::parse(s)
-                            .unwrap_or_else(|| sweep_bad(&format!("bad query {s}")))
-                    })
-                    .collect();
-            }
-            "--st-dens" => {
-                let st_dens: Vec<u16> = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad st-den {s}")))
-                    })
-                    .collect();
-                grid.rates = st_dens
-                    .iter()
-                    .flat_map(|&st| Rates::ratio_stages(st))
-                    .collect();
-            }
-            "--algos" => {
-                grid.algorithms = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        parse_algo(s).unwrap_or_else(|| sweep_bad(&format!("bad algorithm {s}")))
-                    })
-                    .collect();
-            }
-            "--dynamics" => {
-                grid.dynamics = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        DynamicsSpec::parse(s)
-                            .unwrap_or_else(|| sweep_bad(&format!("bad dynamics {s}")))
-                    })
-                    .collect();
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --seeds"));
-                if n == 0 {
-                    sweep_bad("--seeds must be at least 1");
-                }
-                grid.seeds = seed_range(n);
-            }
-            "--cycles" => {
-                grid.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --cycles"));
-            }
-            "--trees" => {
-                grid.num_trees = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --trees"));
-            }
-            "--threads" => {
-                grid.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                grid.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it.next().cloned().unwrap_or_else(|| sweep_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => sweep_bad(&format!("unknown option {other}")),
-        }
-    }
-    let cmd = match mode {
-        SweepMode::Sweep => "sweep",
-        SweepMode::Recovery => "recovery",
-    };
-    let n_cells = grid.cells().len();
-    eprintln!(
-        "{cmd}: {} cells x {} seeds = {} runs ({} threads)",
-        n_cells,
-        grid.seeds.len(),
-        grid.total_runs(),
-        if grid.threads == 0 {
-            "all".to_string()
-        } else {
-            grid.threads.to_string()
-        }
-    );
-    let t0 = std::time::Instant::now();
-    let report = grid.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    match mode {
-        SweepMode::Sweep => println!("{}", report.to_table().to_aligned_string()),
-        SweepMode::Recovery => println!("{}", report.to_recovery_table().to_aligned_string()),
-    }
-    if check_determinism {
-        let mut single = grid.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "{cmd} output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = grid.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "{cmd} output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "{cmd}: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        grid.total_runs()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `warmstart` subcommand: warm vs cold admission over a
-// repeated-shape workload, measuring what the learned-state cache saves.
-
-const WARMSTART_USAGE: &str = "usage: experiments warmstart [options]
-  --quick              CI smoke config (60 nodes, 2 episodes, 2 seeds)
-  --nodes N            topology size                  (default 60)
-  --episodes N         admissions of the repeated shape per session, >= 2
-                       (default 3; episode 1 warms the cache, 2.. are measured)
-  --cycles N           sampling cycles per episode    (default 45; must exceed
-                       the learn interval of 20 or nobody migrates)
-  --seeds N            replicate seeds per mode       (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/warmstart/warmstart; the JSON is also
-                       recorded as BENCH_warmstart.json in the working dir)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn warmstart_bad(msg: &str) -> ! {
-    eprintln!("warmstart: {msg}\n{WARMSTART_USAGE}");
-    std::process::exit(2);
-}
-
-fn warmstart_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        WarmstartConfig::quick()
-    } else {
-        WarmstartConfig::default()
-    };
-    let mut out_prefix = "target/warmstart/warmstart".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{WARMSTART_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --nodes"));
-                if cfg.nodes < 40 {
-                    warmstart_bad("--nodes must be at least 40 (the query splits ids at 20/40)");
-                }
-            }
-            "--episodes" => {
-                cfg.episodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --episodes"));
-                if cfg.episodes < 2 {
-                    warmstart_bad("--episodes must be at least 2 (episode 1 only warms the cache)");
-                }
-            }
-            "--cycles" => {
-                cfg.episode_cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --cycles"));
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --seeds"));
-                if n == 0 {
-                    warmstart_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| warmstart_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => warmstart_bad(&format!("unknown option {other}")),
-        }
-    }
-    eprintln!(
-        "warmstart: {} episodes x {} cycles, 2 modes x {} seeds = {} runs",
-        cfg.episodes,
-        cfg.episode_cycles,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "warmstart output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "warmstart output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    // The convergence trajectory of record, next to BENCH_engine.json
-    // and BENCH_serve.json when run from the repo root.
-    std::fs::write("BENCH_warmstart.json", report.to_json()).expect("write BENCH_warmstart.json");
-    eprintln!(
-        "warmstart: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv, BENCH_warmstart.json",
-        2 * cfg.seeds.len()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `federate` subcommand: cross-network joins over a two-network
-// federation, gateway-routed vs ship-everything-to-one-base.
-
-const FEDERATE_USAGE: &str = "usage: experiments federate [options]
-  --quick              CI smoke config (50+40 nodes, 30 cycles, 2 seeds)
-  --nodes-a N          root member (alpha) topology size   (default 50)
-  --nodes-b N          remote member (beta) topology size  (default 40)
-  --cycles N           federation sampling cycles          (default 40;
-                       re-plan opportunities fire every 10)
-  --loss P             loss probability of the lossy link  (default 0.3)
-  --seeds N            replicate seeds per mode            (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each member run,
-                       0 = all cores (default 1; outcomes are identical
-                       for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/federate/federate; the JSON is also
-                       recorded as BENCH_federate.json in the working dir)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn federate_bad(msg: &str) -> ! {
-    eprintln!("federate: {msg}\n{FEDERATE_USAGE}");
-    std::process::exit(2);
-}
-
-fn federate_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        FederateConfig::quick()
-    } else {
-        FederateConfig::default()
-    };
-    let mut out_prefix = "target/federate/federate".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{FEDERATE_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes-a" => {
-                cfg.nodes_a = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --nodes-a"));
-            }
-            "--nodes-b" => {
-                cfg.nodes_b = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --nodes-b"));
-            }
-            "--cycles" => {
-                cfg.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --cycles"));
-            }
-            "--loss" => {
-                cfg.loss = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --loss"));
-                if !(0.0..1.0).contains(&cfg.loss) {
-                    federate_bad("--loss must be in [0, 1)");
-                }
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --seeds"));
-                if n == 0 {
-                    federate_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| federate_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => federate_bad(&format!("unknown option {other}")),
-        }
-    }
-    // Both networks must cover the chain's four 10-node id bands.
-    if cfg.nodes_a < 40 || cfg.nodes_b < 40 {
-        federate_bad("--nodes-a/--nodes-b must be at least 40 (the chain uses id bands up to 40)");
-    }
-    eprintln!(
-        "federate: {}+{} nodes x {} cycles, 2 modes x {} seeds = {} runs",
-        cfg.nodes_a,
-        cfg.nodes_b,
-        cfg.cycles,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "federate output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "federate output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    // The cross-network comparison of record, next to the other BENCH_*
-    // files when run from the repo root.
-    std::fs::write("BENCH_federate.json", report.to_json()).expect("write BENCH_federate.json");
-    eprintln!(
-        "federate: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv, BENCH_federate.json",
-        2 * cfg.seeds.len()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `multiq` subcommand: concurrent multi-query workloads on one
-// network, both sharing modes compared side by side.
-
-const MULTIQ_USAGE: &str = "usage: experiments multiq [options]
-  --quick              CI smoke config (60 nodes, 4 mixed queries, 2 seeds, 20 cycles)
-  --nodes N            topology size                  (default 100)
-  --queries SPEC       workload: qKxN | mixN, optional @S arrival stagger
-                       (default mix4; any +shared/+indep suffix is ignored —
-                       both sharing modes always run and are compared)
-  --algo A             naive|base|innet|innet-cm|innet-cmg|... (default innet-cmg)
-  --loss P             link-loss probability          (default 0.05)
-  --seeds N            replicate seeds per mode       (default 3)
-  --cycles N           execution sampling cycles      (default 40)
-  --trees N            routing trees                  (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/multiq/multiq)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn multiq_bad(msg: &str) -> ! {
-    eprintln!("multiq: {msg}\n{MULTIQ_USAGE}");
-    std::process::exit(2);
-}
-
-fn multiq_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        MultiqConfig::quick()
-    } else {
-        MultiqConfig::default()
-    };
-    let mut out_prefix = "target/multiq/multiq".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{MULTIQ_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --nodes"));
-            }
-            "--queries" => {
-                let s = it.next().unwrap_or_else(|| multiq_bad("missing --queries"));
-                let m = MultiSpec::parse(s)
-                    .unwrap_or_else(|| multiq_bad(&format!("bad workload spec {s}")));
-                cfg.n_queries = m.n;
-                cfg.base_query = m.base;
-                cfg.stagger = m.stagger;
-            }
-            "--algo" => {
-                let s = it.next().unwrap_or_else(|| multiq_bad("missing --algo"));
-                cfg.algo =
-                    parse_algo(s).unwrap_or_else(|| multiq_bad(&format!("bad algorithm {s}")));
-            }
-            "--loss" => {
-                let p: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --loss"));
-                if !(0.0..1.0).contains(&p) {
-                    multiq_bad("loss outside [0,1)");
-                }
-                cfg.loss = p;
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --seeds"));
-                if n == 0 {
-                    multiq_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--cycles" => {
-                cfg.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --cycles"));
-            }
-            "--trees" => {
-                cfg.num_trees = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --trees"));
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| multiq_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => multiq_bad(&format!("unknown option {other}")),
-        }
-    }
-    eprintln!(
-        "multiq: {} x {} queries, 2 modes x {} seeds = {} runs",
-        cfg.spec(aspen_join::Sharing::Independent).name(),
-        cfg.n_queries,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "multiq output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "multiq output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "multiq: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        2 * cfg.seeds.len()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `optimize` subcommand: n-way join plan quality — the bushy DP vs
-// the left-deep restriction vs the pairwise-greedy heuristic, on the §3
-// cost model over seed-replicated topologies. Pure plan costing, no
-// simulation.
-
-const OPTIMIZE_USAGE: &str = "usage: experiments optimize [options]
-  --quick              CI smoke config (60 nodes, 4 seeds)
-  --nodes N            topology size             (default 100)
-  --seeds N            replicate topology seeds  (default 8)
-  --threads N          OS threads fanning plan jobs out, 0 = all cores (default 0)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/optimize/optimize)
-  --check-determinism  re-run at --threads 1|2|8, verifying byte-identical output";
-
-fn optimize_bad(msg: &str) -> ! {
-    eprintln!("optimize: {msg}\n{OPTIMIZE_USAGE}");
-    std::process::exit(2);
-}
-
-fn optimize_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        OptimizeConfig::quick()
-    } else {
-        OptimizeConfig::default()
-    };
-    let mut out_prefix = "target/optimize/optimize".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{OPTIMIZE_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --nodes"));
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --seeds"));
-                if n == 0 {
-                    optimize_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| optimize_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => optimize_bad(&format!("unknown option {other}")),
-        }
-    }
-    let n_workloads = aspen_bench::optimize::workloads().len();
-    eprintln!(
-        "optimize: {} workloads x {} seeds on {}-node topologies = {} plan comparisons",
-        n_workloads,
-        cfg.seeds.len(),
-        cfg.nodes,
-        n_workloads * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.headline());
-    if check_determinism {
-        for threads in [1usize, 2, 8] {
-            let mut rerun = cfg.clone();
-            rerun.threads = threads;
-            assert_eq!(
-                report.to_json(),
-                rerun.run().to_json(),
-                "optimize output must not depend on thread count ({threads})"
-            );
-        }
-        eprintln!("determinism check: threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "optimize: {} comparisons in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        n_workloads * cfg.seeds.len()
-    );
+    ExitCode::SUCCESS
 }
 
 // ----------------------------------------------------------------------
@@ -1106,7 +258,7 @@ fn table3(o: &Opts) {
         (Algorithm::Innet, InnetOptions::PLAIN),
     ] {
         // Analytic shape from the actual deployment.
-        let sc = bench.scenario(rates, sigma_of(rates), algo, opts_a, 1000);
+        let sc = bench.scenario(rates, Sigma::from_rates(rates), algo, opts_a, 1000);
         let sub = MultiTreeSubstrate::build(
             &sc.topo,
             3,
@@ -1149,7 +301,7 @@ fn table3(o: &Opts) {
                 let (results, _) = find_paths(&sub, n, &q);
                 for r in best_path_per_target(&results) {
                     let hops: Vec<u16> = r.path.iter().map(|&x| sub.hops_to_base(x)).collect();
-                    let placement = aspen_join::place_join_node(sigma_of(rates), 3, &hops);
+                    let placement = aspen_join::place_join_node(Sigma::from_rates(rates), 3, &hops);
                     match placement {
                         aspen_join::Placement::OnPath { index, .. } => pair_d.push((
                             index as f64,
@@ -1168,7 +320,7 @@ fn table3(o: &Opts) {
             d_tr,
             pair_distances: pair_d,
         };
-        let sig = sigma_of(rates);
+        let sig = Sigma::from_rates(rates);
         let tuples_per_cycle = match algo {
             Algorithm::Naive => aspen_join::cost::analytic::naive_per_cycle(sig, &shape),
             Algorithm::Base => aspen_join::cost::analytic::base_per_cycle(sig, &shape),
@@ -1190,6 +342,15 @@ fn table3(o: &Opts) {
     }
 }
 
+/// The (ratio stage x sigma_st of 20%, 10%, 5%) rates of Figures 2-3 and
+/// 19-20, stage-major.
+fn stage_rates() -> Vec<Rates> {
+    Rates::ratio_stages(5)
+        .iter()
+        .flat_map(|stage| [5, 10, 20].map(|st| Rates::new(stage.s_den, stage.t_den, st)))
+        .collect()
+}
+
 // ----------------------------------------------------------------------
 // Figures 2 & 3: total traffic + base load across selectivity stages.
 // One declarative sweep over the figure's (ratio x sigma_st x algorithm)
@@ -1200,13 +361,9 @@ fn fig2_or_3(o: &Opts, q2: bool) {
     } else {
         ("Figure 2 (Query 1, w=3)", QueryId::Q1)
     };
-    let st_dens = [5u16, 10, 20];
     let grid = SweepGrid {
         queries: vec![query.into()],
-        rates: Rates::ratio_stages(5)
-            .iter()
-            .flat_map(|stage| st_dens.map(|st| Rates::new(stage.s_den, stage.t_den, st)))
-            .collect(),
+        rates: stage_rates(),
         algorithms: figure2_algorithms(),
         seeds: seed_range(o.seeds),
         cycles: o.cycles(100),
@@ -1221,34 +378,31 @@ fn fig2_or_3(o: &Opts, q2: bool) {
         "{:10} {:6} | {:>22} {:>22} {:>22} {:>22} {:>22} {:>22}",
         "ratio", "sig_st", "Naive", "Base", "GHT", "Innet", "Innet-cmg", "Innet-cmpg"
     );
-    for stage in Rates::ratio_stages(5) {
-        for st in st_dens {
-            let rates = Rates::new(stage.s_den, stage.t_den, st);
-            let mut cells = Vec::new();
-            for (algo, opts_a) in figure2_algorithms() {
-                let cell = report
-                    .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
-                    .expect("cell in grid");
-                let tot = cell.stat("total_traffic_bytes");
-                let bl = cell.stat("base_load_bytes");
-                cells.push(format!(
-                    "{:7.1}±{:<4.1}/{:6.1}",
-                    kb(tot.mean),
-                    kb(tot.ci95),
-                    kb(bl.mean)
-                ));
-            }
-            println!(
-                "{:10} {:5.0}% | {}",
-                rates.ratio_label(),
-                100.0 / st as f64,
-                cells
-                    .iter()
-                    .map(|c| format!("{c:>22}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
+    for rates in stage_rates() {
+        let mut cells = Vec::new();
+        for (algo, opts_a) in figure2_algorithms() {
+            let cell = report
+                .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
+                .expect("cell in grid");
+            let tot = cell.metrics.get("total_traffic_bytes");
+            let bl = cell.metrics.get("base_load_bytes");
+            cells.push(format!(
+                "{:7.1}±{:<4.1}/{:6.1}",
+                kb(tot.mean),
+                kb(tot.ci95),
+                kb(bl.mean)
+            ));
         }
+        println!(
+            "{:10} {:5.0}% | {}",
+            rates.ratio_label(),
+            100.0 / rates.st_den as f64,
+            cells
+                .iter()
+                .map(|c| format!("{c:>22}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        );
     }
 }
 
@@ -1275,7 +429,7 @@ fn fig4(o: &Opts) {
         for assumed_r in &stages {
             let stats = bench.run_seeds(
                 *true_r,
-                sigma_of(*assumed_r),
+                Sigma::from_rates(*assumed_r),
                 Algorithm::Innet,
                 InnetOptions::PLAIN,
                 o.seeds,
@@ -1329,7 +483,7 @@ fn fig5(o: &Opts) {
     println!();
     let mut columns = Vec::new();
     for (algo, opts_a, _) in &algos {
-        let stats = bench.run_seeds(rates, sigma_of(rates), *algo, *opts_a, o.seeds);
+        let stats = bench.run_seeds(rates, Sigma::from_rates(rates), *algo, *opts_a, o.seeds);
         // Average the rank profile across seeds.
         let mut avg = vec![0.0f64; 15];
         for s in &stats {
@@ -1365,7 +519,7 @@ fn fig6(o: &Opts) {
     for seed in 0..o.seeds {
         let sc = bench.scenario(
             rates,
-            sigma_of(rates),
+            Sigma::from_rates(rates),
             Algorithm::Innet,
             InnetOptions::CMG,
             SEED_BASE + seed,
@@ -1492,7 +646,7 @@ fn fig8(o: &Opts) {
             for assumed_r in &stages {
                 let stats = bench.run_seeds(
                     *true_r,
-                    sigma_of(*assumed_r),
+                    Sigma::from_rates(*assumed_r),
                     Algorithm::Innet,
                     InnetOptions::CMPG,
                     o.seeds,
@@ -1557,7 +711,10 @@ fn fig9(o: &Opts) {
         let report = grid.run();
         print!("{d:>7}");
         for cell in &report.cells {
-            print!(" {:>10.1}", kb(cell.stat("total_traffic_bytes").mean));
+            print!(
+                " {:>10.1}",
+                kb(cell.metrics.get("total_traffic_bytes").mean)
+            );
         }
         println!();
     }
@@ -1585,12 +742,15 @@ fn fig9(o: &Opts) {
     println!();
     for st in [5u16, 10, 20] {
         let rates = Rates::new(2, 2, st);
-        print!("{:>6.0}%", 100.0 / st as f64);
+        print!("{:>6.0}%", 100.0 / rates.st_den as f64);
         for opts_a in variants {
             let cell = report
                 .find(|c| c.rates == rates && c.opts == opts_a)
                 .expect("cell in grid");
-            print!(" {:>10.1}", kb(cell.stat("total_traffic_bytes").mean));
+            print!(
+                " {:>10.1}",
+                kb(cell.metrics.get("total_traffic_bytes").mean)
+            );
         }
         println!();
     }
@@ -1624,7 +784,7 @@ fn learning_matrix(
         for assumed_r in &stages {
             let static_stats = bench.run_seeds(
                 *true_r,
-                sigma_of(*assumed_r),
+                Sigma::from_rates(*assumed_r),
                 Algorithm::Innet,
                 InnetOptions::CMPG,
                 o.seeds.min(3),
@@ -1633,7 +793,7 @@ fn learning_matrix(
                 .map(|s| {
                     let sc = bench.scenario(
                         *true_r,
-                        sigma_of(*assumed_r),
+                        Sigma::from_rates(*assumed_r),
                         Algorithm::Innet,
                         InnetOptions::CMPG.with_learning(),
                         SEED_BASE + s,
@@ -1846,7 +1006,7 @@ fn fig14(o: &Opts) {
             let rates = Rates::new(1, 1, st_den);
             let sc = bench.scenario(
                 rates,
-                sigma_of(rates),
+                Sigma::from_rates(rates),
                 Algorithm::Innet,
                 InnetOptions::PLAIN,
                 SEED_BASE + seed,
@@ -2061,7 +1221,6 @@ fn fig19_or_20(o: &Opts, q2: bool) {
     } else {
         ("Figure 19 (Query 1, w=3, mesh)", QueryId::Q1)
     };
-    let st_dens = [5u16, 10, 20];
     let n_seeds = o.seeds.min(3);
     println!("== {name}: total msgs (1000s) / base msgs (1000s), {n_seeds} seeds ==");
     let algos: Vec<(Algorithm, InnetOptions)> = vec![
@@ -2072,10 +1231,7 @@ fn fig19_or_20(o: &Opts, q2: bool) {
     ];
     let grid = SweepGrid {
         queries: vec![query.into()],
-        rates: Rates::ratio_stages(5)
-            .iter()
-            .flat_map(|stage| st_dens.map(|st| Rates::new(stage.s_den, stage.t_den, st)))
-            .collect(),
+        rates: stage_rates(),
         algorithms: algos.clone(),
         seeds: seed_range(n_seeds),
         cycles: o.cycles(100),
@@ -2087,22 +1243,23 @@ fn fig19_or_20(o: &Opts, q2: bool) {
         print!(" {n:>15}");
     }
     println!();
-    for stage in Rates::ratio_stages(5) {
-        for st in st_dens {
-            let rates = Rates::new(stage.s_den, stage.t_den, st);
-            print!("{:>10} {:>5.0}%", rates.ratio_label(), 100.0 / st as f64);
-            for &(algo, opts_a) in &algos {
-                let cell = report
-                    .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
-                    .expect("cell in grid");
-                print!(
-                    " {:>8.2}/{:<6.2}",
-                    cell.stat("total_traffic_msgs").mean / 1000.0,
-                    cell.stat("base_load_msgs").mean / 1000.0
-                );
-            }
-            println!();
+    for rates in stage_rates() {
+        print!(
+            "{:>10} {:>5.0}%",
+            rates.ratio_label(),
+            100.0 / rates.st_den as f64
+        );
+        for &(algo, opts_a) in &algos {
+            let cell = report
+                .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
+                .expect("cell in grid");
+            print!(
+                " {:>8.2}/{:<6.2}",
+                cell.metrics.get("total_traffic_msgs").mean / 1000.0,
+                cell.metrics.get("base_load_msgs").mean / 1000.0
+            );
         }
+        println!();
     }
 }
 

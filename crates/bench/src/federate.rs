@@ -11,22 +11,23 @@
 //! member on-air traffic, gateway bytes (the long-haul budget the
 //! federation exists to conserve), and replans taken.
 
+use crate::harness::{self, fan_out, seeds_json, Column, Experiment, Knobs, Metrics, Report};
 use crate::sweep::seed_range;
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{GatewayLink, NodeId};
 use sensor_query::parse_join_graph;
 use sensor_query::JoinGraph;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, Table};
 use sensor_workload::WorkloadData;
 
 /// Aggregate metrics reported per cross-mode cell, in column order.
-pub const FEDERATE_METRICS: [&str; 5] = [
-    "cross_results",
-    "member_bytes",
-    "gateway_bytes",
-    "total_bytes",
-    "replans",
+pub const FEDERATE_METRICS: [Column<FederationOutcome>; 5] = [
+    ("cross_results", |o| o.cross_results as f64),
+    ("member_bytes", |o| o.member_traffic_bytes() as f64),
+    ("gateway_bytes", |o| o.gateway_bytes() as f64),
+    ("total_bytes", |o| o.total_traffic_bytes() as f64),
+    ("replans", |o| o.replans as f64),
 ];
 
 /// Everything one gateway-vs-ship comparison needs (minus the cross
@@ -79,15 +80,6 @@ impl Default for FederateConfig {
 }
 
 impl FederateConfig {
-    /// The CI smoke configuration: 2 seeds, 30 cycles.
-    pub fn quick() -> Self {
-        FederateConfig {
-            cycles: 30,
-            seeds: seed_range(2),
-            ..FederateConfig::default()
-        }
-    }
-
     /// The cross-network query: a 4-relation chain joined on `u`, one
     /// 10-node id band per relation. Bands fit the smaller network, so
     /// every relation has producers in whichever member it is homed on.
@@ -151,32 +143,6 @@ impl FederateConfig {
         }
         fed.report()
     }
-
-    /// Fan every (mode, seed) run across OS threads and aggregate.
-    pub fn run(&self) -> FederateReport {
-        let modes = [CrossMode::Gateway, CrossMode::ShipBase];
-        let jobs: Vec<(CrossMode, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let outcomes: Vec<FederationOutcome> =
-            parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
-        let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &mode)| {
-                ModeResult::aggregate(mode, &outcomes[mi * per_mode..(mi + 1) * per_mode])
-            })
-            .collect();
-        FederateReport {
-            nodes: (self.nodes_a, self.nodes_b),
-            cycles: self.cycles,
-            loss: self.loss,
-            seeds: self.seeds.clone(),
-            cells,
-        }
-    }
 }
 
 /// One cross mode's aggregated replicates.
@@ -184,46 +150,15 @@ impl FederateConfig {
 pub struct ModeResult {
     pub mode: CrossMode,
     pub runs: usize,
-    stats: Vec<(&'static str, SummaryStat)>,
+    pub metrics: Metrics,
 }
 
 impl ModeResult {
-    fn aggregate(mode: CrossMode, rows: &[FederationOutcome]) -> ModeResult {
-        type Col<'a> = (&'static str, &'a dyn Fn(&FederationOutcome) -> f64);
-        let cols: [Col; 5] = [
-            ("cross_results", &|o| o.cross_results as f64),
-            ("member_bytes", &|o| o.member_traffic_bytes() as f64),
-            ("gateway_bytes", &|o| o.gateway_bytes() as f64),
-            ("total_bytes", &|o| o.total_traffic_bytes() as f64),
-            ("replans", &|o| o.replans as f64),
-        ];
-        let stats = cols
-            .iter()
-            .map(|&(n, f)| {
-                let samples: Vec<f64> = rows.iter().map(f).collect();
-                (n, SummaryStat::from_samples(&samples))
-            })
-            .collect();
-        ModeResult {
-            mode,
-            runs: rows.len(),
-            stats,
-        }
-    }
-
     pub fn name(&self) -> &'static str {
         match self.mode {
             CrossMode::Gateway => "gateway",
             CrossMode::ShipBase => "ship-base",
         }
-    }
-
-    pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown federate metric {name}"))
     }
 }
 
@@ -262,17 +197,17 @@ impl FederateReport {
                 c.runs.to_string(),
                 format!(
                     "{:.0}±{:.0}",
-                    c.stat("cross_results").mean,
-                    c.stat("cross_results").ci95
+                    c.metrics.get("cross_results").mean,
+                    c.metrics.get("cross_results").ci95
                 ),
-                format!("{:.1}", c.stat("member_bytes").mean / 1024.0),
+                format!("{:.1}", c.metrics.get("member_bytes").mean / 1024.0),
                 format!(
                     "{:.2}±{:.2}",
-                    c.stat("gateway_bytes").mean / 1024.0,
-                    c.stat("gateway_bytes").ci95 / 1024.0
+                    c.metrics.get("gateway_bytes").mean / 1024.0,
+                    c.metrics.get("gateway_bytes").ci95 / 1024.0
                 ),
-                format!("{:.1}", c.stat("total_bytes").mean / 1024.0),
-                format!("{:.1}", c.stat("replans").mean),
+                format!("{:.1}", c.metrics.get("total_bytes").mean / 1024.0),
+                format!("{:.1}", c.metrics.get("replans").mean),
             ]);
         }
         t
@@ -284,33 +219,31 @@ impl FederateReport {
     pub fn savings_line(&self) -> String {
         let gw = self.mode(CrossMode::Gateway);
         let ship = self.mode(CrossMode::ShipBase);
-        let s = ship.stat("gateway_bytes").mean;
+        let s = ship.metrics.get("gateway_bytes").mean;
         let pct = if s > 0.0 {
-            100.0 * (s - gw.stat("gateway_bytes").mean) / s
+            100.0 * (s - gw.metrics.get("gateway_bytes").mean) / s
         } else {
             0.0
         };
         format!(
             "gateway-routed vs ship-to-base: {pct:+.1}% gateway bytes \
              ({:.0} results vs {:.0})",
-            gw.stat("cross_results").mean,
-            ship.stat("cross_results").mean,
+            gw.metrics.get("cross_results").mean,
+            ship.metrics.get("cross_results").mean,
         )
     }
+}
 
-    pub fn to_json(&self) -> String {
+impl Report for FederateReport {
+    fn json(&self) -> Json {
         let cells = self
             .cells
             .iter()
             .map(|c| {
-                let metrics = FEDERATE_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), c.metrics.to_json()),
                 ])
             })
             .collect();
@@ -320,35 +253,111 @@ impl FederateReport {
             ("nodes_beta".into(), Json::num(self.nodes.1 as f64)),
             ("cycles".into(), Json::num(self.cycles as f64)),
             ("lossy_link".into(), Json::num(self.loss)),
-            (
-                "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|&s| Json::num(s as f64)).collect()),
-            ),
+            ("seeds".into(), seeds_json(&self.seeds)),
             ("savings".into(), Json::str(self.savings_line())),
             ("cells".into(), Json::Arr(cells)),
         ])
-        .render()
     }
 
-    pub fn to_csv(&self) -> String {
-        let mut headers = vec!["mode".to_string(), "runs".to_string()];
-        for m in FEDERATE_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+    fn to_csv(&self) -> String {
+        let mut headers: Vec<String> = vec!["mode".into(), "runs".into()];
+        headers.extend(Metrics::csv_header(&FEDERATE_METRICS));
         let mut t = Table::new(headers);
         for c in &self.cells {
             let mut row = vec![c.name().to_string(), c.runs.to_string()];
-            for m in FEDERATE_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.metrics.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
+    }
+}
+
+impl Experiment for FederateConfig {
+    const NAME: &'static str = "federate";
+    const ABOUT: &'static str = "cross-network joins over gateways, routed vs ship-to-base";
+    const QUICK: &'static str = "CI smoke config (50+40 nodes, 30 cycles, 2 seeds)";
+    const USAGE: &'static str =
+        "  --nodes-a N          root member (alpha) topology size, >= 40 (default 50)
+  --nodes-b N          remote member (beta) topology size, >= 40 (default 40)
+  --cycles N           federation sampling cycles          (default 40;
+                       re-plan opportunities fire every 10)
+  --loss P             loss probability of the lossy link, in [0,1) (default 0.3)";
+    const BENCH: Option<&'static str> = Some("BENCH_federate.json");
+    type Report = FederateReport;
+
+    fn quick() -> Self {
+        FederateConfig {
+            cycles: 30,
+            seeds: seed_range(2),
+            ..FederateConfig::default()
+        }
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        use harness::number;
+        match name {
+            "--nodes-a" => self.nodes_a = number(name, v)?,
+            "--nodes-b" => self.nodes_b = number(name, v)?,
+            "--cycles" => self.cycles = number(name, v)?,
+            "--loss" => {
+                self.loss = number(name, v)?;
+                if !(0.0..1.0).contains(&self.loss) {
+                    return Err("--loss must be in [0, 1)".into());
+                }
+            }
+            _ => return Err(harness::unknown_option(name)),
+        }
+        Ok(())
+    }
+
+    /// Both networks must cover the chain's four 10-node id bands.
+    fn validate(&self) -> Result<(), String> {
+        if self.nodes_a < 40 || self.nodes_b < 40 {
+            return Err(
+                "--nodes-a/--nodes-b must be at least 40 (the chain uses id bands up to 40)".into(),
+            );
+        }
+        Ok(())
+    }
+
+    fn knobs(&mut self) -> Knobs<'_> {
+        Knobs {
+            seeds: &mut self.seeds,
+            threads: &mut self.threads,
+            run_threads: Some(&mut self.run_threads),
+        }
+    }
+
+    fn cell_count(&self) -> usize {
+        2
+    }
+
+    /// Fan every (mode, seed) run across OS threads and aggregate.
+    fn run(&self) -> FederateReport {
+        let modes = [CrossMode::Gateway, CrossMode::ShipBase];
+        let outcomes = fan_out(&modes, &self.seeds, self.threads, |&m, s| {
+            self.run_one(m, s)
+        });
+        let cells = modes
+            .iter()
+            .zip(outcomes)
+            .map(|(&mode, rows)| ModeResult {
+                mode,
+                runs: rows.len(),
+                metrics: Metrics::over(&FEDERATE_METRICS, &rows),
+            })
+            .collect();
+        FederateReport {
+            nodes: (self.nodes_a, self.nodes_b),
+            cycles: self.cycles,
+            loss: self.loss,
+            seeds: self.seeds.clone(),
+            cells,
+        }
+    }
+
+    fn stdout(r: &FederateReport) -> String {
+        r.to_table().to_aligned_string() + "\n" + &r.savings_line() + "\n"
     }
 }
 
@@ -364,46 +373,19 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_shows_gateway_savings_and_emits_all_formats() {
+    fn gateway_routing_saves_long_haul_bytes() {
         let rep = test_cfg().run();
         assert_eq!(rep.cells.len(), 2);
         let gw = rep.mode(CrossMode::Gateway);
         let ship = rep.mode(CrossMode::ShipBase);
         // Both modes must actually move tuples across the bridge…
-        assert!(gw.stat("cross_results").mean > 0.0);
-        assert!(ship.stat("cross_results").mean > 0.0);
-        assert!(gw.stat("gateway_bytes").mean > 0.0);
+        assert!(gw.metrics.get("cross_results").mean > 0.0);
+        assert!(ship.metrics.get("cross_results").mean > 0.0);
+        assert!(gw.metrics.get("gateway_bytes").mean > 0.0);
         // …and in-network joining must conserve the long-haul budget.
         assert!(
-            gw.stat("gateway_bytes").mean < ship.stat("gateway_bytes").mean,
+            gw.metrics.get("gateway_bytes").mean < ship.metrics.get("gateway_bytes").mean,
             "gateway routing crossed no fewer bytes than shipping raw"
         );
-        let table = rep.to_table().to_aligned_string();
-        assert!(table.contains("gateway") && table.contains("ship-base"));
-        let json = rep.to_json();
-        assert!(json.contains("\"mode\": \"gateway\""));
-        assert!(json.contains("\"gateway_bytes\""));
-        let csv = rep.to_csv();
-        assert_eq!(csv.lines().count(), 1 + 2);
-        assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn federate_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| FederateConfig {
-            threads,
-            run_threads,
-            ..test_cfg()
-        };
-        let a = cfg(1, 1).run();
-        for (threads, run_threads) in [(4, 1), (1, 8), (2, 2)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }

@@ -1,7 +1,9 @@
 //! Experiment harness support: seed-averaged runs, confidence intervals,
 //! and the standard scenario builders shared by every figure.
 //!
-//! The declarative multi-dimensional sweep lives in [`sweep`]; the
+//! The six grid subcommands share one CLI driver, fan-out, determinism
+//! check and output writer in [`harness`]. The declarative
+//! multi-dimensional sweep lives in [`sweep`]; the
 //! concurrent multi-query comparison harness (`experiments multiq`) in
 //! [`multiq`]; the n-way join plan quality comparison
 //! (`experiments optimize`) in [`mod@optimize`]; the warm-vs-cold
@@ -11,6 +13,7 @@
 //! predate them.
 
 pub mod federate;
+pub mod harness;
 pub mod multiq;
 pub mod optimize;
 pub mod sweep;
@@ -116,8 +119,8 @@ impl Bench {
         opts: InnetOptions,
         seeds: u64,
     ) -> Vec<Outcome> {
-        let jobs: Vec<u64> = crate::sweep::seed_range(seeds);
-        parallel_map(jobs, |&s| {
+        let jobs = crate::sweep::seed_range(seeds);
+        sensor_sim::sweep::parallel_map(&jobs, 0, |&s| {
             run_stats(&self.scenario(rates, assumed, algo, opts, s), self.cycles)
         })
     }
@@ -132,13 +135,6 @@ pub fn run_stats(sc: &Scenario, cycles: u32) -> Outcome {
     session.report()
 }
 
-/// Simple parallel map over independent jobs (the paper ran its sweeps on
-/// a 20-machine cluster; we use the local cores). Thin wrapper over the
-/// engine-side deterministic fan-out in [`sensor_sim::sweep`].
-pub fn parallel_map<T: Send + Sync, R: Send>(jobs: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    sensor_sim::sweep::parallel_map(&jobs, 0, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +146,6 @@ mod tests {
         assert!(ci > 0.0);
         assert_eq!(mean_ci(&[]), (0.0, 0.0));
         assert_eq!(mean_ci(&[5.0]).1, 0.0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<u32> = (0..37).collect();
-        let out = parallel_map(jobs, |&x| x * 2);
-        assert_eq!(out, (0..37).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

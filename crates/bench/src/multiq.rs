@@ -4,25 +4,27 @@
 //! metrics, multi-seed replication, and the thread-count-determinism
 //! contract of the sweep subsystem.
 
-use crate::sweep::{algo_name, seed_range, MultiSpec, QueryId};
+use crate::harness::Report;
+use crate::harness::{self, csv_stat, fan_out, seeds_json, Column, Experiment, Knobs, Metrics};
+use crate::sweep::{algo_name, check_nodes, parse_algo, seed_range, MultiSpec, QueryId};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{DensityClass, TopologySpec};
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{stat_json, Json, SummaryStat, Table};
 use sensor_workload::WorkloadData;
 
 /// Aggregate metrics reported per (sharing mode) cell, in column order.
-pub const MULTIQ_METRICS: [&str; 10] = [
-    "total_traffic_bytes",
-    "base_load_bytes",
-    "max_node_load_bytes",
-    "total_traffic_msgs",
-    "base_load_msgs",
-    "results",
-    "avg_delay_cycles",
-    "shared_frame_bytes",
-    "shared_frame_msgs",
-    "expired_frames",
+pub const MULTIQ_METRICS: [Column<Outcome>; 10] = [
+    ("total_traffic_bytes", |o| o.total_traffic_bytes() as f64),
+    ("base_load_bytes", |o| o.base_load_bytes() as f64),
+    ("max_node_load_bytes", |o| o.max_node_load_bytes() as f64),
+    ("total_traffic_msgs", |o| o.total_traffic_msgs() as f64),
+    ("base_load_msgs", |o| o.base_load_msgs() as f64),
+    ("results", |o| o.results_total() as f64),
+    ("avg_delay_cycles", |o| o.avg_delay_tx()),
+    ("shared_frame_bytes", |o| o.shared_flow.tx_bytes as f64),
+    ("shared_frame_msgs", |o| o.shared_flow.tx_msgs as f64),
+    ("expired_frames", |o| o.expired_frames as f64),
 ];
 
 /// Everything one multiq comparison needs: the workload shape (minus the
@@ -73,16 +75,6 @@ impl Default for MultiqConfig {
 }
 
 impl MultiqConfig {
-    /// The CI smoke configuration: 60 nodes, 2 seeds, 20 cycles.
-    pub fn quick() -> Self {
-        MultiqConfig {
-            nodes: 60,
-            seeds: seed_range(2),
-            cycles: 20,
-            ..MultiqConfig::default()
-        }
-    }
-
     /// The [`MultiSpec`] slug of one compared cell.
     pub fn spec(&self, sharing: Sharing) -> MultiSpec {
         MultiSpec {
@@ -109,34 +101,6 @@ impl MultiqConfig {
         session.step(self.cycles);
         session.report()
     }
-
-    /// Fan every (mode, seed) run across OS threads and aggregate.
-    pub fn run(&self) -> MultiqReport {
-        let modes = [Sharing::Independent, Sharing::SharedTree];
-        let jobs: Vec<(Sharing, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let samples: Vec<Outcome> = parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
-        let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &sharing)| {
-                let rows = &samples[mi * per_mode..(mi + 1) * per_mode];
-                ModeResult::aggregate(self, sharing, rows)
-            })
-            .collect();
-        MultiqReport {
-            spec_name: self.spec(Sharing::Independent).name(),
-            algo: algo_name(self.algo.0, self.algo.1),
-            nodes: self.nodes,
-            loss: self.loss,
-            cycles: self.cycles,
-            seeds: self.seeds.clone(),
-            cells,
-        }
-    }
 }
 
 /// Seed-aggregated per-query observables within one mode.
@@ -156,7 +120,7 @@ pub struct ModeResult {
     pub sharing: Sharing,
     pub runs: usize,
     pub per_query: Vec<QueryAgg>,
-    stats: Vec<(&'static str, SummaryStat)>,
+    pub metrics: Metrics,
 }
 
 impl ModeResult {
@@ -181,47 +145,12 @@ impl ModeResult {
                 }
             })
             .collect();
-        let col = |f: &dyn Fn(&Outcome) -> f64| {
-            SummaryStat::from_samples(&rows.iter().map(f).collect::<Vec<_>>())
-        };
-        let stats = vec![
-            (
-                "total_traffic_bytes",
-                col(&|r| r.total_traffic_bytes() as f64),
-            ),
-            ("base_load_bytes", col(&|r| r.base_load_bytes() as f64)),
-            (
-                "max_node_load_bytes",
-                col(&|r| r.max_node_load_bytes() as f64),
-            ),
-            (
-                "total_traffic_msgs",
-                col(&|r| r.total_traffic_msgs() as f64),
-            ),
-            ("base_load_msgs", col(&|r| r.base_load_msgs() as f64)),
-            ("results", col(&|r| r.results_total() as f64)),
-            ("avg_delay_cycles", col(&|r| r.avg_delay_tx())),
-            (
-                "shared_frame_bytes",
-                col(&|r| r.shared_flow.tx_bytes as f64),
-            ),
-            ("shared_frame_msgs", col(&|r| r.shared_flow.tx_msgs as f64)),
-            ("expired_frames", col(&|r| r.expired_frames as f64)),
-        ];
         ModeResult {
             sharing,
             runs: rows.len(),
             per_query,
-            stats,
+            metrics: Metrics::over(&MULTIQ_METRICS, rows),
         }
-    }
-
-    pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown multiq metric {name}"))
     }
 }
 
@@ -282,15 +211,15 @@ impl MultiqReport {
                 "-".to_string(),
                 format!(
                     "{:.0}±{:.0}",
-                    c.stat("results").mean,
-                    c.stat("results").ci95
+                    c.metrics.get("results").mean,
+                    c.metrics.get("results").ci95
                 ),
-                format!("{:.1}", c.stat("avg_delay_cycles").mean),
+                format!("{:.1}", c.metrics.get("avg_delay_cycles").mean),
                 "-".to_string(),
-                kb(c.stat("shared_frame_bytes")),
-                kb(c.stat("total_traffic_bytes")),
-                kb(c.stat("base_load_bytes")),
-                kb(c.stat("max_node_load_bytes")),
+                kb(c.metrics.get("shared_frame_bytes")),
+                kb(c.metrics.get("total_traffic_bytes")),
+                kb(c.metrics.get("base_load_bytes")),
+                kb(c.metrics.get("max_node_load_bytes")),
             ]);
         }
         t
@@ -302,8 +231,8 @@ impl MultiqReport {
         let indep = self.mode(Sharing::Independent);
         let shared = self.mode(Sharing::SharedTree);
         let pct = |m: &str| {
-            let i = indep.stat(m).mean;
-            let s = shared.stat(m).mean;
+            let i = indep.metrics.get(m).mean;
+            let s = shared.metrics.get(m).mean;
             if i > 0.0 {
                 100.0 * (i - s) / i
             } else {
@@ -317,8 +246,10 @@ impl MultiqReport {
             pct("total_traffic_msgs"),
         )
     }
+}
 
-    pub fn to_json(&self) -> String {
+impl Report for MultiqReport {
+    fn json(&self) -> Json {
         let cells = self
             .cells
             .iter()
@@ -336,15 +267,11 @@ impl MultiqReport {
                         ])
                     })
                     .collect();
-                let metrics = MULTIQ_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.sharing.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
                     ("queries".into(), Json::Arr(per_query)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), c.metrics.to_json()),
                 ])
             })
             .collect();
@@ -354,39 +281,21 @@ impl MultiqReport {
             ("nodes".into(), Json::num(self.nodes as f64)),
             ("loss".into(), Json::num(self.loss)),
             ("cycles".into(), Json::num(self.cycles as f64)),
-            (
-                "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|&s| Json::num(s as f64)).collect()),
-            ),
+            ("seeds".into(), seeds_json(&self.seeds)),
             ("cells".into(), Json::Arr(cells)),
         ])
-        .render()
     }
 
     /// Wide CSV: one row per (mode, query) plus one ALL row per mode.
-    pub fn to_csv(&self) -> String {
-        let mut headers = vec![
-            "mode".to_string(),
-            "query".to_string(),
-            "arrival".to_string(),
-            "runs".to_string(),
-        ];
+    fn to_csv(&self) -> String {
+        let mut headers: Vec<String> = ["mode", "query", "arrival", "runs"]
+            .map(String::from)
+            .into();
         for m in ["results", "delay_cycles", "own_tx_bytes"] {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
+            headers.extend(["mean", "stddev", "ci95"].map(|s| format!("{m}_{s}")));
         }
-        for m in MULTIQ_METRICS {
-            headers.push(format!("{m}_mean"));
-        }
+        headers.extend(MULTIQ_METRICS.iter().map(|(m, _)| format!("{m}_mean")));
         let mut t = Table::new(headers);
-        let stat3 = |s: &SummaryStat| {
-            vec![
-                format!("{}", s.mean),
-                format!("{}", s.stddev),
-                format!("{}", s.ci95),
-            ]
-        };
         for c in &self.cells {
             for q in &c.per_query {
                 let mut row = vec![
@@ -395,9 +304,9 @@ impl MultiqReport {
                     q.arrival.to_string(),
                     c.runs.to_string(),
                 ];
-                row.extend(stat3(&q.results));
-                row.extend(stat3(&q.delay));
-                row.extend(stat3(&q.own_tx_bytes));
+                row.extend(csv_stat(&q.results));
+                row.extend(csv_stat(&q.delay));
+                row.extend(csv_stat(&q.own_tx_bytes));
                 row.extend(MULTIQ_METRICS.iter().map(|_| String::new()));
                 t.push_row(row);
             }
@@ -407,17 +316,111 @@ impl MultiqReport {
                 String::new(),
                 c.runs.to_string(),
             ];
-            row.extend(stat3(c.stat("results")));
-            row.extend(stat3(c.stat("avg_delay_cycles")));
+            row.extend(csv_stat(c.metrics.get("results")));
+            row.extend(csv_stat(c.metrics.get("avg_delay_cycles")));
             row.extend(["", "", ""].map(String::from));
             row.extend(
                 MULTIQ_METRICS
                     .iter()
-                    .map(|&m| format!("{}", c.stat(m).mean)),
+                    .map(|&(m, _)| format!("{}", c.metrics.get(m).mean)),
             );
             t.push_row(row);
         }
         t.to_csv()
+    }
+}
+
+impl Experiment for MultiqConfig {
+    const NAME: &'static str = "multiq";
+    const ABOUT: &'static str = "concurrent multi-query workloads, shared vs independent";
+    const QUICK: &'static str = "CI smoke config (60 nodes, 4 mixed queries, 2 seeds, 20 cycles)";
+    const USAGE: &'static str =
+        "  --nodes N            topology size                  (default 100)
+  --queries SPEC       workload: qKxN | mixN, optional @S arrival stagger
+                       (default mix4; any +shared/+indep suffix is ignored —
+                       both sharing modes always run and are compared)
+  --algo A             naive|base|innet|innet-cm|innet-cmg|... (default innet-cmg)
+  --loss P             link-loss probability in [0,1) (default 0.05)
+  --cycles N           execution sampling cycles      (default 40)
+  --trees N            routing trees                  (default 3)";
+    type Report = MultiqReport;
+
+    fn quick() -> Self {
+        MultiqConfig {
+            nodes: 60,
+            seeds: seed_range(2),
+            cycles: 20,
+            ..MultiqConfig::default()
+        }
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        use harness::number;
+        match name {
+            "--nodes" => self.nodes = number(name, v)?,
+            "--queries" => {
+                let m = MultiSpec::parse(v).ok_or_else(|| format!("bad workload spec {v}"))?;
+                self.n_queries = m.n;
+                self.base_query = m.base;
+                self.stagger = m.stagger;
+            }
+            "--algo" => self.algo = parse_algo(v).ok_or_else(|| format!("bad algorithm {v}"))?,
+            "--loss" => {
+                self.loss = number(name, v)?;
+                if !(0.0..1.0).contains(&self.loss) {
+                    return Err("--loss must be in [0, 1)".into());
+                }
+            }
+            "--cycles" => self.cycles = number(name, v)?,
+            "--trees" => self.num_trees = number(name, v)?,
+            _ => return Err(harness::unknown_option(name)),
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.num_trees == 0 {
+            return Err("--trees must be at least 1".into());
+        }
+        check_nodes("--nodes", self.nodes, self.density)
+    }
+
+    fn knobs(&mut self) -> Knobs<'_> {
+        Knobs {
+            seeds: &mut self.seeds,
+            threads: &mut self.threads,
+            run_threads: Some(&mut self.run_threads),
+        }
+    }
+
+    fn cell_count(&self) -> usize {
+        2
+    }
+
+    /// Fan every (mode, seed) run across OS threads and aggregate.
+    fn run(&self) -> MultiqReport {
+        let modes = [Sharing::Independent, Sharing::SharedTree];
+        let samples = fan_out(&modes, &self.seeds, self.threads, |&m, s| {
+            self.run_one(m, s)
+        });
+        let cells = modes
+            .iter()
+            .zip(samples)
+            .map(|(&sharing, rows)| ModeResult::aggregate(self, sharing, &rows))
+            .collect();
+        MultiqReport {
+            spec_name: self.spec(Sharing::Independent).name(),
+            algo: algo_name(self.algo.0, self.algo.1),
+            nodes: self.nodes,
+            loss: self.loss,
+            cycles: self.cycles,
+            seeds: self.seeds.clone(),
+            cells,
+        }
+    }
+
+    fn stdout(r: &MultiqReport) -> String {
+        r.to_table().to_aligned_string() + "\n" + &r.savings_line() + "\n"
     }
 }
 
@@ -426,7 +429,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_report_compares_modes_and_emits_all_formats() {
+    fn shared_mode_forms_aggregate_frames() {
         let cfg = MultiqConfig {
             nodes: 40,
             n_queries: 4,
@@ -440,7 +443,7 @@ mod tests {
         for c in &rep.cells {
             assert_eq!(c.per_query.len(), 4);
             assert!(
-                c.stat("results").mean > 0.0,
+                c.metrics.get("results").mean > 0.0,
                 "{} delivered nothing",
                 c.sharing.name()
             );
@@ -448,44 +451,17 @@ mod tests {
         // The independent mode never forms aggregate frames.
         assert_eq!(
             rep.mode(Sharing::Independent)
-                .stat("shared_frame_msgs")
+                .metrics
+                .get("shared_frame_msgs")
                 .mean,
             0.0
         );
-        assert!(rep.mode(Sharing::SharedTree).stat("shared_frame_msgs").mean > 0.0);
-        let table = rep.to_table().to_aligned_string();
-        assert!(table.contains("shared") && table.contains("independent"));
-        assert!(table.contains("ALL"));
-        let json = rep.to_json();
-        assert!(json.contains("\"mode\": \"shared\""));
-        assert!(json.contains("\"own_tx_bytes\""));
-        let csv = rep.to_csv();
-        // Header + (4 queries + ALL) per mode x 2 modes.
-        assert_eq!(csv.lines().count(), 1 + 2 * 5);
-        assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn multiq_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| MultiqConfig {
-            nodes: 40,
-            seeds: seed_range(2),
-            cycles: 6,
-            threads,
-            run_threads,
-            ..MultiqConfig::quick()
-        };
-        let a = cfg(1, 1).run();
-        // Cross-replicate fan-out, intra-run chunking, and both at once
-        // must all reproduce the sequential report byte-for-byte.
-        for (threads, run_threads) in [(4, 1), (1, 4), (2, 3)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
+        assert!(
+            rep.mode(Sharing::SharedTree)
+                .metrics
+                .get("shared_frame_msgs")
+                .mean
+                > 0.0
+        );
     }
 }

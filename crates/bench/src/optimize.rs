@@ -17,16 +17,21 @@
 //! this module and in the golden fixture — is that the bushy DP strictly
 //! beats the best left-deep plan on at least one 4-way workload.
 
-use crate::sweep::seed_range;
+use crate::harness::{self, fan_out, seeds_json, Column, Experiment, Knobs, Metrics, Report};
+use crate::sweep::{check_nodes, seed_range};
 use aspen_join::prelude::*;
 use aspen_join::PlanNode;
 use sensor_net::{DensityClass, TopologySpec};
 use sensor_query::{parse_join_graph, JoinGraph};
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, Table};
 use sensor_workload::WorkloadData;
 
 /// Per-workload aggregate metrics, in column order.
-pub const OPTIMIZE_METRICS: [&str; 3] = ["dp_cost", "left_deep_cost", "greedy_cost"];
+const OPTIMIZE_METRICS: [Column<PlanSample>; 3] = [
+    ("dp_cost", |r| r.dp_cost),
+    ("left_deep_cost", |r| r.left_deep_cost),
+    ("greedy_cost", |r| r.greedy_cost),
+];
 
 /// Low / high windowed join-edge selectivity (σ_st) used by the named
 /// workloads; source/target send rates stay at the standard 1/2.
@@ -133,15 +138,6 @@ impl Default for OptimizeConfig {
 }
 
 impl OptimizeConfig {
-    /// The CI smoke configuration: 60 nodes, 4 seeds.
-    pub fn quick() -> Self {
-        OptimizeConfig {
-            nodes: 60,
-            seeds: seed_range(4),
-            ..OptimizeConfig::default()
-        }
-    }
-
     fn run_one(&self, w: &OptWorkload, seed: u64) -> PlanSample {
         let graph = w.graph();
         let topo = TopologySpec::new(self.density, self.nodes, seed).build();
@@ -156,27 +152,6 @@ impl OptimizeConfig {
             greedy_cost: gr.cost,
             dp_bushy: is_bushy(&dp.tree),
             dp_shape: dp.shape(&graph),
-        }
-    }
-
-    /// Fan every (workload, seed) cell across OS threads and aggregate.
-    pub fn run(&self) -> OptimizeReport {
-        let ws = workloads();
-        let jobs: Vec<(usize, u64)> = (0..ws.len())
-            .flat_map(|wi| self.seeds.iter().map(move |&s| (wi, s)))
-            .collect();
-        let samples: Vec<PlanSample> =
-            parallel_map(&jobs, self.threads, |&(wi, s)| self.run_one(&ws[wi], s));
-        let per_w = self.seeds.len();
-        let cells = ws
-            .iter()
-            .enumerate()
-            .map(|(wi, w)| WorkloadResult::aggregate(w, &samples[wi * per_w..(wi + 1) * per_w]))
-            .collect();
-        OptimizeReport {
-            nodes: self.nodes,
-            seeds: self.seeds.clone(),
-            cells,
         }
     }
 }
@@ -218,20 +193,12 @@ pub struct WorkloadResult {
     pub bushy_plans: usize,
     /// The DP plan shape on the first seed (a stable exemplar).
     pub dp_shape: String,
-    stats: Vec<(&'static str, SummaryStat)>,
+    pub metrics: Metrics,
 }
 
 impl WorkloadResult {
     fn aggregate(w: &OptWorkload, rows: &[PlanSample]) -> WorkloadResult {
         let g = w.graph();
-        let col = |f: &dyn Fn(&PlanSample) -> f64| {
-            SummaryStat::from_samples(&rows.iter().map(f).collect::<Vec<_>>())
-        };
-        let stats = vec![
-            ("dp_cost", col(&|r| r.dp_cost)),
-            ("left_deep_cost", col(&|r| r.left_deep_cost)),
-            ("greedy_cost", col(&|r| r.greedy_cost)),
-        ];
         WorkloadResult {
             name: w.name,
             relations: g.n_relations(),
@@ -242,23 +209,15 @@ impl WorkloadResult {
                 .count(),
             bushy_plans: rows.iter().filter(|r| r.dp_bushy).count(),
             dp_shape: rows.first().map(|r| r.dp_shape.clone()).unwrap_or_default(),
-            stats,
+            metrics: Metrics::over(&OPTIMIZE_METRICS, rows),
         }
-    }
-
-    pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown optimize metric {name}"))
     }
 
     /// Mean percentage saved by the DP plan vs a baseline metric
     /// (positive = DP cheaper).
     pub fn savings_vs(&self, baseline: &str) -> f64 {
-        let b = self.stat(baseline).mean;
-        let d = self.stat("dp_cost").mean;
+        let b = self.metrics.get(baseline).mean;
+        let d = self.metrics.get("dp_cost").mean;
         if b > 0.0 {
             100.0 * (b - d) / b
         } else {
@@ -277,13 +236,6 @@ pub struct OptimizeReport {
 }
 
 impl OptimizeReport {
-    pub fn workload(&self, name: &str) -> &WorkloadResult {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("unknown workload {name}"))
-    }
-
     /// One row per workload: mean plan costs and DP savings.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(vec![
@@ -306,11 +258,11 @@ impl OptimizeReport {
                 c.edges.to_string(),
                 format!(
                     "{:.3}±{:.3}",
-                    c.stat("dp_cost").mean,
-                    c.stat("dp_cost").ci95
+                    c.metrics.get("dp_cost").mean,
+                    c.metrics.get("dp_cost").ci95
                 ),
-                format!("{:.3}", c.stat("left_deep_cost").mean),
-                format!("{:.3}", c.stat("greedy_cost").mean),
+                format!("{:.3}", c.metrics.get("left_deep_cost").mean),
+                format!("{:.3}", c.metrics.get("greedy_cost").mean),
                 format!("{:+.1}%", c.savings_vs("left_deep_cost")),
                 format!("{:+.1}%", c.savings_vs("greedy_cost")),
                 format!("{}/{}", c.dp_strict_wins, self.seeds.len()),
@@ -335,21 +287,19 @@ impl OptimizeReport {
             self.seeds.len(),
         )
     }
+}
 
-    pub fn to_json(&self) -> String {
+impl Report for OptimizeReport {
+    fn json(&self) -> Json {
         let cells = self
             .cells
             .iter()
             .map(|c| {
-                let metrics = OPTIMIZE_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("workload".into(), Json::str(c.name)),
                     ("relations".into(), Json::num(c.relations as f64)),
                     ("edges".into(), Json::num(c.edges as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), c.metrics.to_json()),
                     ("dp_strict_wins".into(), Json::num(c.dp_strict_wins as f64)),
                     ("bushy_plans".into(), Json::num(c.bushy_plans as f64)),
                     ("dp_shape".into(), Json::str(&c.dp_shape)),
@@ -358,30 +308,18 @@ impl OptimizeReport {
             .collect();
         Json::Obj(vec![
             ("nodes".into(), Json::num(self.nodes as f64)),
-            (
-                "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|&s| Json::num(s as f64)).collect()),
-            ),
+            ("seeds".into(), seeds_json(&self.seeds)),
             ("cells".into(), Json::Arr(cells)),
         ])
-        .render()
     }
 
     /// Wide CSV: one row per workload.
-    pub fn to_csv(&self) -> String {
-        let mut headers = vec![
-            "workload".to_string(),
-            "relations".to_string(),
-            "edges".to_string(),
-            "seeds".to_string(),
-        ];
-        for m in OPTIMIZE_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
-        headers.push("dp_strict_wins".to_string());
-        headers.push("bushy_plans".to_string());
+    fn to_csv(&self) -> String {
+        let mut headers: Vec<String> = ["workload", "relations", "edges", "seeds"]
+            .map(String::from)
+            .into();
+        headers.extend(Metrics::csv_header(&OPTIMIZE_METRICS));
+        headers.extend(["dp_strict_wins", "bushy_plans"].map(String::from));
         let mut t = Table::new(headers);
         for c in &self.cells {
             let mut row = vec![
@@ -390,12 +328,7 @@ impl OptimizeReport {
                 c.edges.to_string(),
                 self.seeds.len().to_string(),
             ];
-            for m in OPTIMIZE_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.metrics.csv_cells());
             row.push(c.dp_strict_wins.to_string());
             row.push(c.bushy_plans.to_string());
             t.push_row(row);
@@ -404,12 +337,74 @@ impl OptimizeReport {
     }
 }
 
+impl Experiment for OptimizeConfig {
+    const NAME: &'static str = "optimize";
+    const ABOUT: &'static str = "n-way join plans: bushy DP vs left-deep vs greedy";
+    const QUICK: &'static str = "CI smoke config (60 nodes, 4 seeds)";
+    const USAGE: &'static str = "  --nodes N            topology size             (default 100)";
+    type Report = OptimizeReport;
+
+    fn quick() -> Self {
+        OptimizeConfig {
+            nodes: 60,
+            seeds: seed_range(4),
+            ..OptimizeConfig::default()
+        }
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        match name {
+            "--nodes" => self.nodes = harness::number(name, v)?,
+            _ => return Err(harness::unknown_option(name)),
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        check_nodes("--nodes", self.nodes, self.density)
+    }
+
+    /// Plan costing runs no simulation, so there are no intra-run
+    /// threads.
+    fn knobs(&mut self) -> Knobs<'_> {
+        Knobs {
+            seeds: &mut self.seeds,
+            threads: &mut self.threads,
+            run_threads: None,
+        }
+    }
+
+    fn cell_count(&self) -> usize {
+        workloads().len()
+    }
+
+    /// Fan every (workload, seed) cell across OS threads and aggregate.
+    fn run(&self) -> OptimizeReport {
+        let ws = workloads();
+        let samples = fan_out(&ws, &self.seeds, self.threads, |w, s| self.run_one(w, s));
+        let cells = ws
+            .iter()
+            .zip(samples)
+            .map(|(w, rows)| WorkloadResult::aggregate(w, &rows))
+            .collect();
+        OptimizeReport {
+            nodes: self.nodes,
+            seeds: self.seeds.clone(),
+            cells,
+        }
+    }
+
+    fn stdout(r: &OptimizeReport) -> String {
+        r.to_table().to_aligned_string() + "\n" + &r.headline() + "\n"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quick_report_compares_planners_and_emits_all_formats() {
+    fn dp_never_loses_to_either_baseline() {
         let rep = OptimizeConfig::quick().run();
         assert_eq!(rep.cells.len(), workloads().len());
         for c in &rep.cells {
@@ -417,23 +412,21 @@ mod tests {
             // searches a superset of nothing greedy guarantees — but DP
             // must never lose to either.
             assert!(
-                c.stat("dp_cost").mean <= c.stat("left_deep_cost").mean + 1e-9,
+                c.metrics.get("dp_cost").mean <= c.metrics.get("left_deep_cost").mean + 1e-9,
                 "{}: DP mean cost above left-deep",
                 c.name
             );
             assert!(
-                c.stat("dp_cost").mean <= c.stat("greedy_cost").mean + 1e-9,
+                c.metrics.get("dp_cost").mean <= c.metrics.get("greedy_cost").mean + 1e-9,
                 "{}: DP mean cost above greedy",
                 c.name
             );
-            assert!(c.stat("dp_cost").mean > 0.0, "{}: degenerate cost", c.name);
+            assert!(
+                c.metrics.get("dp_cost").mean > 0.0,
+                "{}: degenerate cost",
+                c.name
+            );
         }
-        let table = rep.to_table().to_aligned_string();
-        assert!(table.contains("chain4") && table.contains("dp_wins"));
-        let json = rep.to_json();
-        assert!(json.contains("\"workload\": \"cycle4\""));
-        let csv = rep.to_csv();
-        assert_eq!(csv.lines().count(), 1 + workloads().len());
     }
 
     /// The PR's acceptance regression: on the quick configuration the
@@ -447,27 +440,12 @@ mod tests {
         assert!(!four_way.is_empty());
         assert!(
             four_way.iter().any(|c| c.dp_strict_wins > 0
-                && c.stat("dp_cost").mean < c.stat("left_deep_cost").mean - 1e-9),
+                && c.metrics.get("dp_cost").mean < c.metrics.get("left_deep_cost").mean - 1e-9),
             "no 4-way workload where bushy DP strictly beats left-deep: {:?}",
             four_way
                 .iter()
                 .map(|c| (c.name, c.dp_strict_wins))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn optimize_report_thread_count_invariant() {
-        let cfg = |threads| OptimizeConfig {
-            seeds: seed_range(2),
-            threads,
-            ..OptimizeConfig::quick()
-        };
-        let a = cfg(1).run();
-        for threads in [2usize, 8] {
-            let b = cfg(threads).run();
-            assert_eq!(a.to_json(), b.to_json(), "threads={threads}");
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }

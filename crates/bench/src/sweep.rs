@@ -4,17 +4,18 @@
 //!
 //! A grid expands to cells in a fixed nested order, every (cell, seed) run
 //! is an independent deterministic simulation, and the runs fan out across
-//! OS threads through [`sensor_sim::sweep::parallel_map`] — so a report is
-//! byte-identical for any thread count. Aggregation (mean / stddev / 95% CI
-//! over seeds) and the JSON/CSV/table emitters live here; the figure
-//! drivers in the `experiments` binary are thin formatters over a
-//! [`SweepReport`].
+//! OS threads through [`fan_out`] — so a report is byte-identical for any
+//! thread count. The sweep and recovery table layouts and the JSON/CSV
+//! emitters live here; the figure drivers in the `experiments` binary are
+//! thin formatters over a [`SweepReport`]. [`SweepGrid`] is the `sweep`
+//! subcommand and [`Recovery`] the `recovery` one.
 
+use crate::harness::{self, fan_out, seeds_json, Column, Experiment, Knobs, Metrics, Report};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{DensityClass, NodeId, Topology, TopologySpec};
 use sensor_query::JoinQuerySpec;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::{query0, query1, query2, query3, WorkloadData};
 
 /// The named workload queries of Table 2.
@@ -366,24 +367,30 @@ impl DynamicsSpec {
 /// what disambiguates them; mean cycles over converged runs =
 /// `reconv_cycles_mean / reconv_observed_mean`), and join results
 /// delivered at or after the first scheduled event.
-pub const SWEEP_METRICS: [&str; 17] = [
-    "total_traffic_bytes",
-    "base_load_bytes",
-    "max_node_load_bytes",
-    "total_traffic_msgs",
-    "base_load_msgs",
-    "results",
-    "avg_delay_cycles",
-    "send_failures",
-    "queue_drops",
-    "repair_attempts",
-    "repair_successes",
-    "tuples_lost",
-    "tuples_rerouted",
-    "recovery_bytes",
-    "reconv_cycles",
-    "reconv_observed",
-    "results_post_event",
+pub const SWEEP_METRICS: [Column<Outcome>; 17] = [
+    ("total_traffic_bytes", |o| o.total_traffic_bytes() as f64),
+    ("base_load_bytes", |o| o.base_load_bytes() as f64),
+    ("max_node_load_bytes", |o| o.max_node_load_bytes() as f64),
+    ("total_traffic_msgs", |o| o.total_traffic_msgs() as f64),
+    ("base_load_msgs", |o| o.base_load_msgs() as f64),
+    ("results", |o| o.results_total() as f64),
+    ("avg_delay_cycles", |o| o.avg_delay_tx()),
+    ("send_failures", |o| o.send_failures() as f64),
+    ("queue_drops", |o| o.queue_drops() as f64),
+    ("repair_attempts", |o| o.recovery.repair_attempts as f64),
+    ("repair_successes", |o| o.recovery.repair_successes as f64),
+    ("tuples_lost", |o| {
+        (o.recovery.tuples_lost + o.queued_msgs_lost) as f64
+    }),
+    ("tuples_rerouted", |o| o.recovery.tuples_rerouted as f64),
+    ("recovery_bytes", |o| o.recovery.control_bytes as f64),
+    ("reconv_cycles", |o| {
+        o.reconvergence_cycles.map(f64::from).unwrap_or(0.0)
+    }),
+    ("reconv_observed", |o| {
+        o.reconvergence_cycles.is_some() as u8 as f64
+    }),
+    ("results_post_event", |o| o.results_post_event as f64),
 ];
 
 /// One grid point: everything that identifies a simulation configuration
@@ -405,89 +412,23 @@ impl CellSpec {
         algo_name(self.algo, self.opts)
     }
 
-    pub fn dynamics_name(&self) -> String {
-        self.dynamics.name()
-    }
-
     fn algo_cfg(&self) -> AlgoConfig {
         AlgoConfig::new(self.algo, Sigma::from_rates(self.rates)).with_innet_options(self.opts)
     }
 
-    /// Run this cell for one seed and return the metric values in
-    /// [`SWEEP_METRICS`] order. Seed covers topology, workload, link RNG
-    /// and dynamics-plan victim draws, exactly as the figure harness seeds
-    /// its scenarios.
-    /// `run_threads` is the *intra-run* transmit-phase worker count
-    /// ([`SimConfig::threads`]); any value yields the same row.
-    pub fn run_one(
-        &self,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
-        match self.query {
-            WorkloadSel::Single(q) => self.run_single(q, seed, cycles, num_trees, run_threads),
-            WorkloadSel::Multi(m) => self.run_multi(m, seed, cycles, num_trees, run_threads),
-        }
-    }
-
-    /// The single-query path runs on the session's `bare_wire` mode — the
-    /// paper's exact frame format, so the sweep numbers are byte-identical
-    /// to the pre-session harness.
-    fn run_single(
-        &self,
-        query: QueryId,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
-        let topo = TopologySpec::new(self.density, self.nodes, seed).build();
-        let plan = self.dynamics.plan(seed, &topo);
-        let mut data = WorkloadData::new(&topo, self.dynamics.schedule(self.rates), seed);
-        if query.n_pairs() > 0 {
-            data = data.with_pairs(query.n_pairs());
-        }
-        let mut sim = SimConfig::default()
-            .with_loss(self.loss)
-            .with_seed(seed)
-            .with_threads(run_threads);
-        if self.opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
-        let mut session = Scenario {
-            topo,
-            data,
-            spec: query.spec(),
-            cfg: self.algo_cfg(),
-            sim,
-            num_trees,
-        }
-        .into_session();
-        session.set_plan(plan);
-        session.step(cycles);
-        let out = session.report();
-        let mut row = metric_row(&out);
-        row[14] = out.reconvergence_cycles.map(f64::from).unwrap_or(0.0);
-        row[15] = out.reconvergence_cycles.is_some() as u8 as f64;
-        row[16] = out.results_post_event as f64;
-        row
-    }
-
-    /// The concurrent-workload path: one tagged session per run, fair MAC
-    /// arbitration on, lifecycle from the spec's arrival stagger. The
-    /// single-run re-convergence split does not generalize to overlapping
-    /// per-query lifecycles, so the last three [`SWEEP_METRICS`] report
-    /// zero for multi-query cells.
-    fn run_multi(
-        &self,
-        m: MultiSpec,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
+    /// Run this cell for one seed. Seed covers topology, workload, link
+    /// RNG and dynamics-plan victim draws, exactly as the figure harness
+    /// seeds its scenarios. `run_threads` is the *intra-run* transmit-phase
+    /// worker count ([`SimConfig::threads`]); any value yields the same
+    /// outcome.
+    ///
+    /// A single query runs on the session's `bare_wire` mode — the
+    /// paper's exact frame format. A concurrent set runs one tagged
+    /// session with fair MAC arbitration and the spec's arrival stagger;
+    /// the single-run re-convergence split does not generalize to
+    /// overlapping per-query lifecycles, so the last three
+    /// [`SWEEP_METRICS`] report zero for multi-query cells.
+    pub fn run_one(&self, seed: u64, cycles: u32, num_trees: usize, run_threads: usize) -> Outcome {
         let topo = TopologySpec::new(self.density, self.nodes, seed).build();
         let plan = self.dynamics.plan(seed, &topo);
         let data = WorkloadData::new(&topo, self.dynamics.schedule(self.rates), seed);
@@ -498,38 +439,31 @@ impl CellSpec {
         if self.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        let mut session = m
-            .build_set(topo, data, self.algo_cfg(), sim, num_trees)
-            .into_session();
+        let cfg = self.algo_cfg();
+        let mut session = match self.query {
+            WorkloadSel::Single(q) => Scenario {
+                topo,
+                data: match q.n_pairs() {
+                    0 => data,
+                    n => data.with_pairs(n),
+                },
+                spec: q.spec(),
+                cfg,
+                sim,
+                num_trees,
+            }
+            .into_session(),
+            WorkloadSel::Multi(m) => m.build_set(topo, data, cfg, sim, num_trees).into_session(),
+        };
         session.set_plan(plan);
         session.step(cycles);
-        metric_row(&session.report())
+        let mut out = session.report();
+        if self.query.single().is_none() {
+            out.reconvergence_cycles = None;
+            out.results_post_event = 0;
+        }
+        out
     }
-}
-
-/// The shared [`SWEEP_METRICS`] row of one run's [`Outcome`]; the last
-/// three (re-convergence/post-event) entries stay zero unless the caller
-/// fills them (single-query cells only).
-fn metric_row(out: &Outcome) -> [f64; 17] {
-    [
-        out.total_traffic_bytes() as f64,
-        out.base_load_bytes() as f64,
-        out.max_node_load_bytes() as f64,
-        out.total_traffic_msgs() as f64,
-        out.base_load_msgs() as f64,
-        out.results_total() as f64,
-        out.avg_delay_tx(),
-        out.send_failures() as f64,
-        out.queue_drops() as f64,
-        out.recovery.repair_attempts as f64,
-        out.recovery.repair_successes as f64,
-        (out.recovery.tuples_lost + out.queued_msgs_lost) as f64,
-        out.recovery.tuples_rerouted as f64,
-        out.recovery.control_bytes as f64,
-        0.0,
-        0.0,
-        0.0,
-    ]
 }
 
 /// A declarative sweep: the grid dimensions plus run parameters.
@@ -589,52 +523,6 @@ impl Default for SweepGrid {
 }
 
 impl SweepGrid {
-    /// The CI smoke grid: 2 sizes x 3 loss rates x 2 algorithms x 2 seeds
-    /// (24 grid points, 12 aggregate cells) over heterogeneous loss regimes.
-    pub fn quick() -> Self {
-        SweepGrid {
-            sizes: vec![60, 100],
-            loss_probs: vec![0.0, 0.05, 0.15],
-            algorithms: vec![
-                (Algorithm::Naive, InnetOptions::PLAIN),
-                (Algorithm::Innet, InnetOptions::CMG),
-            ],
-            seeds: seed_range(2),
-            cycles: 30,
-            ..SweepGrid::default()
-        }
-    }
-
-    /// The §7-style recovery grid (`experiments recovery --quick`): the
-    /// explicitly-paired Query 0 on a 60-node network under a static
-    /// baseline plus three failure schedules firing mid-run, for plain
-    /// Innet and the learning MPO variant.
-    pub fn recovery_quick() -> Self {
-        SweepGrid {
-            sizes: vec![60],
-            queries: vec![QueryId::Q0.into()],
-            algorithms: vec![
-                (Algorithm::Innet, InnetOptions::PLAIN),
-                (Algorithm::Innet, InnetOptions::CMG.with_learning()),
-            ],
-            dynamics: vec![
-                DynamicsSpec::None,
-                DynamicsSpec::RandomKill {
-                    count: 3,
-                    at_cycle: 20,
-                },
-                DynamicsSpec::JoinKill { at_cycle: 20 },
-                DynamicsSpec::RegionKill {
-                    radius: 1.5,
-                    at_cycle: 20,
-                },
-            ],
-            seeds: seed_range(2),
-            cycles: 40,
-            ..SweepGrid::default()
-        }
-    }
-
     /// Expand the grid to cells in the canonical nested order
     /// (query, size, density, loss, rates, algorithm, dynamics).
     pub fn cells(&self) -> Vec<CellSpec> {
@@ -665,49 +553,223 @@ impl SweepGrid {
         }
         out
     }
+}
 
-    pub fn total_runs(&self) -> usize {
-        self.cells().len() * self.seeds.len()
+/// A grid node count must build a connected topology of the density's
+/// target degree: at least 2 nodes, and more than the degree.
+pub fn check_nodes(flag: &str, nodes: usize, density: DensityClass) -> Result<(), String> {
+    let degree = density.target_degree();
+    if nodes < 2 || nodes as f64 <= degree {
+        return Err(format!(
+            "{flag} {nodes} is too small: a {} network of degree {degree} needs more than {degree} nodes",
+            density_slug(density)
+        ));
+    }
+    Ok(())
+}
+
+const GRID_USAGE: &str = "  --sizes N,N,..       topology sizes            (default 100)
+  --densities a,b,..   sparse|moderate|medium|dense|grid (default moderate)
+  --loss p,p,..        link-loss probabilities in [0,1) (default 0.05)
+  --queries q,q,..     q0|q1|q2|q3, or concurrent sets qKxN / mixN with
+                       optional @S arrival stagger and +shared aggregation
+                       (e.g. q1x4, mix4@5+shared)  (default q1)
+  --st-dens N,N,..     sigma_st denominators, crossed with the 5 ratio stages
+  --algos a,a,..       naive|base|ght|yang+07|innet|innet-cm|innet-cmp|innet-cmg|innet-cmpg|innet-learn|innet-cmg-learn
+  --dynamics d,d,..    network-dynamics scenarios fired at cycle boundaries:
+                       none | randN@C (N random kills at cycle C) | join@C (busiest
+                       join node) | regionR@C (all nodes within R radio ranges of a
+                       random center) | rateshift@C (swap sigma_s/sigma_t) | lossP@C
+                       (step link loss to P) | move@C (re-home a random mobile
+                       leaf, App. G)              (default none)
+  --cycles N           execution sampling cycles (default 60)
+  --trees N            routing trees             (default 3)";
+
+impl Experiment for SweepGrid {
+    const NAME: &'static str = "sweep";
+    const ABOUT: &'static str = "declarative multi-seed scenario grid";
+    const QUICK: &'static str =
+        "the 24-run CI grid (2 sizes x 3 loss x 2 algos x 2 seeds), written to target/sweep/quick";
+    const USAGE: &'static str = GRID_USAGE;
+    type Report = SweepReport;
+
+    /// The CI smoke grid: 2 sizes x 3 loss rates x 2 algorithms x 2 seeds
+    /// (24 grid points, 12 aggregate cells) over heterogeneous loss regimes.
+    fn quick() -> Self {
+        SweepGrid {
+            sizes: vec![60, 100],
+            loss_probs: vec![0.0, 0.05, 0.15],
+            algorithms: vec![
+                (Algorithm::Naive, InnetOptions::PLAIN),
+                (Algorithm::Innet, InnetOptions::CMG),
+            ],
+            seeds: seed_range(2),
+            cycles: 30,
+            ..SweepGrid::default()
+        }
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        use harness::{list, number};
+        match name {
+            "--sizes" => self.sizes = list(name, v, |s| s.parse().ok())?,
+            "--densities" => self.densities = list(name, v, parse_density)?,
+            "--loss" => {
+                self.loss_probs = list(name, v, |s| {
+                    s.parse().ok().filter(|p| (0.0..1.0).contains(p))
+                })?
+            }
+            "--queries" => self.queries = list(name, v, WorkloadSel::parse)?,
+            "--st-dens" => {
+                self.rates = list(name, v, |s| s.parse().ok())?
+                    .into_iter()
+                    .flat_map(Rates::ratio_stages)
+                    .collect()
+            }
+            "--algos" => self.algorithms = list(name, v, parse_algo)?,
+            "--dynamics" => self.dynamics = list(name, v, DynamicsSpec::parse)?,
+            "--cycles" => self.cycles = number(name, v)?,
+            "--trees" => self.num_trees = number(name, v)?,
+            _ => return Err(harness::unknown_option(name)),
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.num_trees == 0 {
+            return Err("--trees must be at least 1".into());
+        }
+        for &nodes in &self.sizes {
+            for &density in &self.densities {
+                check_nodes("--sizes", nodes, density)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn knobs(&mut self) -> Knobs<'_> {
+        Knobs {
+            seeds: &mut self.seeds,
+            threads: &mut self.threads,
+            run_threads: Some(&mut self.run_threads),
+        }
+    }
+
+    fn cell_count(&self) -> usize {
+        self.cells().len()
     }
 
     /// Fan every (cell, seed) run out across OS threads, then aggregate
     /// seed replicates per cell.
-    pub fn run(&self) -> SweepReport {
+    fn run(&self) -> SweepReport {
         let cells = self.cells();
-        let jobs: Vec<(usize, u64)> = cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, _)| self.seeds.iter().map(move |&s| (ci, s)))
-            .collect();
-        let samples: Vec<[f64; 17]> = parallel_map(&jobs, self.threads, |&(ci, seed)| {
-            cells[ci].run_one(seed, self.cycles, self.num_trees, self.run_threads)
+        let samples = fan_out(&cells, &self.seeds, self.threads, |cell, seed| {
+            cell.run_one(seed, self.cycles, self.num_trees, self.run_threads)
         });
-        let per_cell = self.seeds.len();
-        let results = cells
-            .into_iter()
-            .enumerate()
-            .map(|(ci, spec)| {
-                let rows = &samples[ci * per_cell..(ci + 1) * per_cell];
-                let stats = SWEEP_METRICS
-                    .iter()
-                    .enumerate()
-                    .map(|(mi, &name)| {
-                        let xs: Vec<f64> = rows.iter().map(|r| r[mi]).collect();
-                        (name, SummaryStat::from_samples(&xs))
-                    })
-                    .collect();
-                CellResult {
-                    spec,
-                    runs: per_cell,
-                    stats,
-                }
-            })
-            .collect();
         SweepReport {
-            cells: results,
+            cells: cells
+                .into_iter()
+                .zip(samples)
+                .map(|(spec, rows)| CellResult {
+                    spec,
+                    runs: rows.len(),
+                    metrics: Metrics::over(&SWEEP_METRICS, &rows),
+                })
+                .collect(),
             seeds: self.seeds.clone(),
             cycles: self.cycles,
         }
+    }
+
+    fn stdout(r: &SweepReport) -> String {
+        r.to_table().to_aligned_string() + "\n"
+    }
+
+    fn default_out(quick: bool) -> String {
+        if quick {
+            "target/sweep/quick"
+        } else {
+            "target/sweep/sweep"
+        }
+        .to_string()
+    }
+}
+
+/// The `recovery` subcommand: the sweep grid with the §7 failure
+/// schedules as defaults and the recovery table as output.
+#[derive(Debug, Clone)]
+pub struct Recovery(pub SweepGrid);
+
+impl Default for Recovery {
+    /// The §7 grid at 3 seeds.
+    fn default() -> Self {
+        Recovery(SweepGrid {
+            seeds: seed_range(3),
+            ..Recovery::quick().0
+        })
+    }
+}
+
+impl Experiment for Recovery {
+    const NAME: &'static str = "recovery";
+    const ABOUT: &'static str = "§7 failure schedules + recovery metrics";
+    const QUICK: &'static str =
+        "the 16-run §7 grid (static + 3 failure schedules x 2 algos x 2 seeds)";
+    const USAGE: &'static str = GRID_USAGE;
+    type Report = SweepReport;
+
+    /// The §7-style recovery grid (`experiments recovery --quick`): the
+    /// explicitly-paired Query 0 on a 60-node network under a static
+    /// baseline plus three failure schedules firing mid-run, for plain
+    /// Innet and the learning MPO variant.
+    fn quick() -> Self {
+        Recovery(SweepGrid {
+            sizes: vec![60],
+            queries: vec![QueryId::Q0.into()],
+            algorithms: vec![
+                (Algorithm::Innet, InnetOptions::PLAIN),
+                (Algorithm::Innet, InnetOptions::CMG.with_learning()),
+            ],
+            dynamics: vec![
+                DynamicsSpec::None,
+                DynamicsSpec::RandomKill {
+                    count: 3,
+                    at_cycle: 20,
+                },
+                DynamicsSpec::JoinKill { at_cycle: 20 },
+                DynamicsSpec::RegionKill {
+                    radius: 1.5,
+                    at_cycle: 20,
+                },
+            ],
+            seeds: seed_range(2),
+            cycles: 40,
+            ..SweepGrid::default()
+        })
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        self.0.flag(name, v)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        self.0.validate()
+    }
+
+    fn knobs(&mut self) -> Knobs<'_> {
+        self.0.knobs()
+    }
+
+    fn cell_count(&self) -> usize {
+        self.0.cell_count()
+    }
+
+    fn run(&self) -> SweepReport {
+        self.0.run()
+    }
+
+    fn stdout(r: &SweepReport) -> String {
+        r.to_recovery_table().to_aligned_string() + "\n"
     }
 }
 
@@ -716,21 +778,11 @@ impl SweepGrid {
 pub struct CellResult {
     pub spec: CellSpec,
     pub runs: usize,
-    stats: Vec<(&'static str, SummaryStat)>,
+    pub metrics: Metrics,
 }
 
-impl CellResult {
-    pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown sweep metric {name}"))
-    }
-}
-
-/// The aggregated outcome of a sweep, with the three emitters the ISSUE's
-/// acceptance criteria name: aligned text table, CSV, JSON.
+/// The aggregated outcome of a sweep: the sweep and recovery tables here,
+/// JSON and CSV through [`Report`].
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     pub cells: Vec<CellResult>,
@@ -769,20 +821,20 @@ impl SweepReport {
                 format!("{:.2}", c.spec.loss),
                 c.spec.rates.ratio_label(),
                 c.spec.algo_name(),
-                c.spec.dynamics_name(),
+                c.spec.dynamics.name(),
                 c.runs.to_string(),
-                kb(c.stat("total_traffic_bytes")),
-                kb(c.stat("base_load_bytes")),
-                kb(c.stat("max_node_load_bytes")),
+                kb(c.metrics.get("total_traffic_bytes")),
+                kb(c.metrics.get("base_load_bytes")),
+                kb(c.metrics.get("max_node_load_bytes")),
                 format!(
                     "{:.0}±{:.0}",
-                    c.stat("results").mean,
-                    c.stat("results").ci95
+                    c.metrics.get("results").mean,
+                    c.metrics.get("results").ci95
                 ),
                 format!(
                     "{:.1}±{:.1}",
-                    c.stat("avg_delay_cycles").mean,
-                    c.stat("avg_delay_cycles").ci95
+                    c.metrics.get("avg_delay_cycles").mean,
+                    c.metrics.get("avg_delay_cycles").ci95
                 ),
             ]);
         }
@@ -810,8 +862,8 @@ impl SweepReport {
             "reconv_cyc",
         ]);
         for c in &self.cells {
-            let att = c.stat("repair_attempts").mean;
-            let ok = c.stat("repair_successes").mean;
+            let att = c.metrics.get("repair_attempts").mean;
+            let ok = c.metrics.get("repair_successes").mean;
             let rate = if att > 0.0 {
                 format!("{:.0}%", 100.0 * ok / att)
             } else {
@@ -820,52 +872,77 @@ impl SweepReport {
             // Mean re-convergence over the runs that actually settled;
             // "-" when none did (or the cell is static) — a bare 0 would
             // make never-converging cells look instantly settled.
-            let observed = c.stat("reconv_observed").mean;
+            let observed = c.metrics.get("reconv_observed").mean;
             let reconv = if observed > 0.0 {
-                format!("{:.1}", c.stat("reconv_cycles").mean / observed)
+                format!("{:.1}", c.metrics.get("reconv_cycles").mean / observed)
             } else {
                 "-".to_string()
             };
             t.push_row(vec![
-                c.spec.dynamics_name(),
+                c.spec.dynamics.name(),
                 c.spec.algo_name(),
                 c.spec.nodes.to_string(),
                 format!("{:.2}", c.spec.loss),
                 c.runs.to_string(),
                 format!(
                     "{:.0}±{:.0}",
-                    c.stat("results").mean,
-                    c.stat("results").ci95
+                    c.metrics.get("results").mean,
+                    c.metrics.get("results").ci95
                 ),
-                format!("{:.0}", c.stat("results_post_event").mean),
+                format!("{:.0}", c.metrics.get("results_post_event").mean),
                 format!("{att:.1}"),
                 rate,
-                format!("{:.1}", c.stat("tuples_lost").mean),
-                format!("{:.1}", c.stat("tuples_rerouted").mean),
-                format!("{:.0}", c.stat("recovery_bytes").mean),
+                format!("{:.1}", c.metrics.get("tuples_lost").mean),
+                format!("{:.1}", c.metrics.get("tuples_rerouted").mean),
+                format!("{:.0}", c.metrics.get("recovery_bytes").mean),
                 reconv,
             ]);
         }
         t
     }
+}
+
+impl Report for SweepReport {
+    fn json(&self) -> Json {
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                Json::Obj(vec![
+                    ("query".into(), Json::str(c.spec.query.name())),
+                    ("nodes".into(), Json::num(c.spec.nodes as f64)),
+                    ("density".into(), Json::str(density_slug(c.spec.density))),
+                    ("loss".into(), Json::num(c.spec.loss)),
+                    ("rates".into(), Json::str(c.spec.rates.ratio_label())),
+                    ("algorithm".into(), Json::str(c.spec.algo_name())),
+                    ("dynamics".into(), Json::str(c.spec.dynamics.name())),
+                    ("runs".into(), Json::num(c.runs as f64)),
+                    ("metrics".into(), c.metrics.to_json()),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("seeds".into(), seeds_json(&self.seeds)),
+            ("cycles".into(), Json::num(self.cycles as f64)),
+            ("cells".into(), Json::Arr(cells)),
+        ])
+    }
 
     /// Wide-format CSV: one row per cell, (mean, stddev, ci95) per metric.
-    pub fn to_csv(&self) -> String {
-        let mut headers = vec![
-            "query".to_string(),
-            "nodes".to_string(),
-            "density".to_string(),
-            "loss".to_string(),
-            "rates".to_string(),
-            "algorithm".to_string(),
-            "dynamics".to_string(),
-            "runs".to_string(),
-        ];
-        for m in SWEEP_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+    fn to_csv(&self) -> String {
+        let mut headers: Vec<String> = [
+            "query",
+            "nodes",
+            "density",
+            "loss",
+            "rates",
+            "algorithm",
+            "dynamics",
+            "runs",
+        ]
+        .map(String::from)
+        .into();
+        headers.extend(Metrics::csv_header(&SWEEP_METRICS));
         let mut t = Table::new(headers);
         for c in &self.cells {
             let mut row = vec![
@@ -875,51 +952,13 @@ impl SweepReport {
                 format!("{}", c.spec.loss),
                 c.spec.rates.ratio_label(),
                 c.spec.algo_name(),
-                c.spec.dynamics_name(),
+                c.spec.dynamics.name(),
                 c.runs.to_string(),
             ];
-            for m in SWEEP_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.metrics.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
-    }
-
-    pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let metrics = SWEEP_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
-                Json::Obj(vec![
-                    ("query".into(), Json::str(c.spec.query.name())),
-                    ("nodes".into(), Json::num(c.spec.nodes as f64)),
-                    ("density".into(), Json::str(density_slug(c.spec.density))),
-                    ("loss".into(), Json::num(c.spec.loss)),
-                    ("rates".into(), Json::str(c.spec.rates.ratio_label())),
-                    ("algorithm".into(), Json::str(c.spec.algo_name())),
-                    ("dynamics".into(), Json::str(c.spec.dynamics_name())),
-                    ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|&s| Json::num(s as f64)).collect()),
-            ),
-            ("cycles".into(), Json::num(self.cycles as f64)),
-            ("cells".into(), Json::Arr(cells)),
-        ])
-        .render()
     }
 }
 
@@ -932,8 +971,8 @@ mod tests {
         let g = SweepGrid::quick();
         let cells = g.cells();
         assert_eq!(cells.len(), 2 * 3 * 2); // sizes x loss x algos
-        assert_eq!(g.total_runs(), 24); // x 2 seeds: the acceptance grid
-                                        // Nested order: size-major over loss, algorithm innermost.
+        assert_eq!(cells.len() * g.seeds.len(), 24); // x 2 seeds
+                                                     // Nested order: size-major over loss, algorithm innermost.
         assert_eq!(cells[0].nodes, 60);
         assert_eq!(cells[0].loss, 0.0);
         assert_eq!(cells[1].algo_name(), "Innet-cmg");
@@ -997,33 +1036,6 @@ mod tests {
             Some(QueryId::Q1)
         );
         assert_eq!(WorkloadSel::parse("mix4").unwrap().single(), None);
-    }
-
-    #[test]
-    fn multi_query_cells_run_in_the_grid() {
-        let g = SweepGrid {
-            sizes: vec![40],
-            loss_probs: vec![0.05],
-            queries: vec![
-                QueryId::Q1.into(),
-                WorkloadSel::parse("mix2+shared").unwrap(),
-            ],
-            algorithms: vec![(Algorithm::Innet, InnetOptions::CM)],
-            seeds: seed_range(2),
-            cycles: 6,
-            ..SweepGrid::default()
-        };
-        let rep = g.run();
-        assert_eq!(rep.cells.len(), 2);
-        let multi = rep
-            .find(|c| matches!(c.query, WorkloadSel::Multi(_)))
-            .expect("multi cell");
-        assert!(multi.stat("total_traffic_bytes").mean > 0.0);
-        assert!(multi.stat("results").mean > 0.0);
-        // Multi cells appear under their slug in every emitter.
-        assert!(rep.to_json().contains("\"query\": \"mix2+shared\""));
-        assert!(rep.to_csv().contains("mix2+shared"));
-        assert!(rep.to_table().to_aligned_string().contains("mix2+shared"));
     }
 
     #[test]
@@ -1091,31 +1103,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sweep_runs_and_emits_all_formats() {
-        let g = SweepGrid {
-            sizes: vec![30],
-            loss_probs: vec![0.1],
-            algorithms: vec![(Algorithm::Naive, InnetOptions::PLAIN)],
-            seeds: seed_range(2),
-            cycles: 5,
-            ..SweepGrid::default()
-        };
-        let rep = g.run();
-        assert_eq!(rep.cells.len(), 1);
-        let c = &rep.cells[0];
-        assert_eq!(c.runs, 2);
-        assert!(c.stat("total_traffic_bytes").mean > 0.0);
-        let table = rep.to_table().to_aligned_string();
-        assert!(table.contains("Naive"));
-        let csv = rep.to_csv();
-        assert!(csv.lines().count() == 2);
-        assert!(csv.contains("total_traffic_bytes_mean"));
-        let json = rep.to_json();
-        assert!(json.contains("\"algorithm\": \"Naive\""));
-        assert!(json.contains("\"dynamics\": \"none\""));
-    }
-
-    #[test]
     fn dynamics_sweep_reports_recovery_metrics() {
         let g = SweepGrid {
             sizes: vec![40],
@@ -1134,17 +1121,15 @@ mod tests {
             .expect("faulty cell");
         // The network reacted to the join-node kill...
         assert!(
-            faulty.stat("repair_attempts").mean + faulty.stat("tuples_lost").mean > 0.0,
+            faulty.metrics.get("repair_attempts").mean + faulty.metrics.get("tuples_lost").mean
+                > 0.0,
             "no recovery activity recorded"
         );
-        assert!(faulty.stat("recovery_bytes").mean > 0.0);
+        assert!(faulty.metrics.get("recovery_bytes").mean > 0.0);
         // ...and results kept arriving after the event.
-        assert!(faulty.stat("results_post_event").mean > 0.0);
+        assert!(faulty.metrics.get("results_post_event").mean > 0.0);
         // Static cell: events never fire, post-event results stay zero.
         let clean = rep.find(|c| c.dynamics == DynamicsSpec::None).unwrap();
-        assert_eq!(clean.stat("results_post_event").mean, 0.0);
-        let table = rep.to_recovery_table().to_aligned_string();
-        assert!(table.contains("join@8"));
-        assert!(rep.to_csv().contains("repair_attempts_mean"));
+        assert_eq!(clean.metrics.get("results_post_event").mean, 0.0);
     }
 }

@@ -9,25 +9,31 @@
 //! cold for everyone and only reported for parity), plus the cache hit
 //! rate.
 
+use crate::harness::{self, fan_out, seeds_json, Column, Experiment, Knobs, Metrics, Report};
 use crate::sweep::{algo_name, seed_range};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_query::parser::parse_query;
 use sensor_query::JoinQuerySpec;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, Table};
 use sensor_workload::WorkloadData;
 
-/// Aggregate metrics reported per (admission mode) cell, in column order.
-/// All but `hit_rate` aggregate over the repeat episodes (2..) of every
-/// seed; `hit_rate` is the per-session cache hit fraction.
-pub const WARMSTART_METRICS: [&str; 6] = [
-    "convergence_cycles",
-    "migrated_pairs",
-    "ctrl_bytes",
-    "tx_bytes",
-    "results",
-    "hit_rate",
+/// Per-episode metrics, in column order; a mode's cell aggregates them
+/// over the first episode and, separately, over the repeat episodes (2..)
+/// of every seed.
+const EPISODE_METRICS: [Column<EpisodeMetrics>; 5] = [
+    ("convergence_cycles", |e| e.convergence as f64),
+    ("migrated_pairs", |e| e.migrated_pairs as f64),
+    ("ctrl_bytes", |e| e.ctrl_bytes as f64),
+    ("tx_bytes", |e| e.tx_bytes as f64),
+    ("results", |e| e.results as f64),
 ];
+
+/// Per-session metrics, after the repeat-episode ones: the cache hit
+/// fraction.
+const SESSION_METRICS: [Column<SessionSample>; 1] = [("hit_rate", |r| {
+    r.stats.hits as f64 / (r.stats.hits + r.stats.misses).max(1) as f64
+})];
 
 /// Everything one warm-vs-cold comparison needs (minus the warm flag,
 /// which is the compared dimension).
@@ -72,15 +78,6 @@ impl Default for WarmstartConfig {
 }
 
 impl WarmstartConfig {
-    /// The CI smoke configuration: 2 episodes, 2 seeds.
-    pub fn quick() -> Self {
-        WarmstartConfig {
-            episodes: 2,
-            seeds: seed_range(2),
-            ..WarmstartConfig::default()
-        }
-    }
-
     /// The repeated query shape. The id split assumes ≥ 40 nodes.
     pub fn spec(&self) -> JoinQuerySpec {
         parse_query(
@@ -190,34 +187,6 @@ impl WarmstartConfig {
             stats: s.cache_stats(),
         }
     }
-
-    /// Fan every (mode, seed) run across OS threads and aggregate.
-    pub fn run(&self) -> WarmstartReport {
-        let modes = [false, true];
-        let jobs: Vec<(bool, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let samples: Vec<SessionSample> =
-            parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
-        let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &warm)| {
-                let rows = &samples[mi * per_mode..(mi + 1) * per_mode];
-                ModeResult::aggregate(warm, rows)
-            })
-            .collect();
-        WarmstartReport {
-            algo: algo_name(self.algo().0, self.algo().1),
-            nodes: self.nodes,
-            episodes: self.episodes,
-            episode_cycles: self.episode_cycles,
-            seeds: self.seeds.clone(),
-            cells,
-        }
-    }
 }
 
 /// One episode's observables.
@@ -247,24 +216,15 @@ pub struct ModeResult {
     pub runs: usize,
     /// Episode-1 aggregates — cold for both modes, reported so parity is
     /// visible in the output.
-    pub first_episode: Vec<(&'static str, SummaryStat)>,
+    pub first_episode: Metrics,
     /// Summed cache counters across the mode's sessions.
     pub cache: CacheStats,
-    stats: Vec<(&'static str, SummaryStat)>,
+    /// The repeat episodes' aggregates, then the hit rate.
+    pub metrics: Metrics,
 }
 
 impl ModeResult {
     fn aggregate(warm: bool, rows: &[SessionSample]) -> ModeResult {
-        // (skip, take) selects the episode band: (0, 1) = the first
-        // (cold-for-everyone) episode, (1, MAX) = the measured repeats.
-        let over = |skip: usize, take: usize, f: &dyn Fn(&EpisodeMetrics) -> f64| {
-            let samples: Vec<f64> = rows
-                .iter()
-                .flat_map(|r| r.episodes.iter().skip(skip).take(take))
-                .map(f)
-                .collect();
-            SummaryStat::from_samples(&samples)
-        };
         let mut cache = CacheStats::default();
         for r in rows {
             cache.entries += r.stats.entries;
@@ -273,37 +233,19 @@ impl ModeResult {
             cache.insertions += r.stats.insertions;
             cache.evictions += r.stats.evictions;
         }
-        let hit_rate: Vec<f64> = rows
-            .iter()
-            .map(|r| {
-                let total = r.stats.hits + r.stats.misses;
-                if total == 0 {
-                    0.0
-                } else {
-                    r.stats.hits as f64 / total as f64
-                }
-            })
-            .collect();
-        type Col<'a> = (&'static str, &'a dyn Fn(&EpisodeMetrics) -> f64);
-        let cols: [Col; 5] = [
-            ("convergence_cycles", &|e| e.convergence as f64),
-            ("migrated_pairs", &|e| e.migrated_pairs as f64),
-            ("ctrl_bytes", &|e| e.ctrl_bytes as f64),
-            ("tx_bytes", &|e| e.tx_bytes as f64),
-            ("results", &|e| e.results as f64),
-        ];
-        let mut stats: Vec<(&'static str, SummaryStat)> = cols
-            .iter()
-            .map(|&(n, f)| (n, over(1, usize::MAX, f)))
-            .collect();
-        stats.push(("hit_rate", SummaryStat::from_samples(&hit_rate)));
-        let first_episode = cols.iter().map(|&(n, f)| (n, over(0, 1, f))).collect();
+        let band = |skip: usize, take: usize| {
+            let episodes: Vec<EpisodeMetrics> = rows
+                .iter()
+                .flat_map(|r| r.episodes.iter().skip(skip).take(take).copied())
+                .collect();
+            Metrics::over(&EPISODE_METRICS, &episodes)
+        };
         ModeResult {
             warm,
             runs: rows.len(),
-            first_episode,
+            first_episode: band(0, 1),
             cache,
-            stats,
+            metrics: band(1, usize::MAX).and(Metrics::over(&SESSION_METRICS, rows)),
         }
     }
 
@@ -313,14 +255,6 @@ impl ModeResult {
         } else {
             "cold"
         }
-    }
-
-    pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown warmstart metric {name}"))
     }
 }
 
@@ -358,13 +292,7 @@ impl WarmstartReport {
             "hit_rate",
         ]);
         for c in &self.cells {
-            let first = |n: &str| {
-                c.first_episode
-                    .iter()
-                    .find(|(m, _)| *m == n)
-                    .map(|(_, s)| s)
-                    .expect("first-episode metric")
-            };
+            let first = |n: &str| c.first_episode.get(n);
             t.push_row(vec![
                 c.name().to_string(),
                 "1".to_string(),
@@ -380,18 +308,18 @@ impl WarmstartReport {
                 format!("2..{}", self.episodes),
                 format!(
                     "{:.1}±{:.1}",
-                    c.stat("convergence_cycles").mean,
-                    c.stat("convergence_cycles").ci95
+                    c.metrics.get("convergence_cycles").mean,
+                    c.metrics.get("convergence_cycles").ci95
                 ),
                 format!(
                     "{:.1}±{:.1}",
-                    c.stat("migrated_pairs").mean,
-                    c.stat("migrated_pairs").ci95
+                    c.metrics.get("migrated_pairs").mean,
+                    c.metrics.get("migrated_pairs").ci95
                 ),
-                format!("{:.1}", c.stat("ctrl_bytes").mean / 1024.0),
-                format!("{:.1}", c.stat("tx_bytes").mean / 1024.0),
-                format!("{:.0}", c.stat("results").mean),
-                format!("{:.2}", c.stat("hit_rate").mean),
+                format!("{:.1}", c.metrics.get("ctrl_bytes").mean / 1024.0),
+                format!("{:.1}", c.metrics.get("tx_bytes").mean / 1024.0),
+                format!("{:.0}", c.metrics.get("results").mean),
+                format!("{:.2}", c.metrics.get("hit_rate").mean),
             ]);
         }
         t
@@ -403,8 +331,8 @@ impl WarmstartReport {
         let cold = self.mode(false);
         let warm = self.mode(true);
         let pct = |m: &str| {
-            let c = cold.stat(m).mean;
-            let w = warm.stat(m).mean;
+            let c = cold.metrics.get(m).mean;
+            let w = warm.metrics.get(m).mean;
             if c > 0.0 {
                 100.0 * (c - w) / c
             } else {
@@ -417,24 +345,17 @@ impl WarmstartReport {
             pct("convergence_cycles"),
             pct("migrated_pairs"),
             pct("ctrl_bytes"),
-            warm.stat("hit_rate").mean,
+            warm.metrics.get("hit_rate").mean,
         )
     }
+}
 
-    pub fn to_json(&self) -> String {
+impl Report for WarmstartReport {
+    fn json(&self) -> Json {
         let cells = self
             .cells
             .iter()
             .map(|c| {
-                let metrics = WARMSTART_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
-                let first = c
-                    .first_episode
-                    .iter()
-                    .map(|(m, s)| (m.to_string(), stat_json(s)))
-                    .collect();
                 let cache = Json::Obj(vec![
                     ("entries".into(), Json::num(c.cache.entries as f64)),
                     ("hits".into(), Json::num(c.cache.hits as f64)),
@@ -445,8 +366,8 @@ impl WarmstartReport {
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("first_episode".into(), Json::Obj(first)),
-                    ("repeat_episodes".into(), Json::Obj(metrics)),
+                    ("first_episode".into(), c.first_episode.to_json()),
+                    ("repeat_episodes".into(), c.metrics.to_json()),
                     ("cache".into(), cache),
                 ])
             })
@@ -460,41 +381,21 @@ impl WarmstartReport {
                 "episode_cycles".into(),
                 Json::num(self.episode_cycles as f64),
             ),
-            (
-                "seeds".into(),
-                Json::Arr(self.seeds.iter().map(|&s| Json::num(s as f64)).collect()),
-            ),
+            ("seeds".into(), seeds_json(&self.seeds)),
             ("savings".into(), Json::str(self.savings_line())),
             ("cells".into(), Json::Arr(cells)),
         ])
-        .render()
     }
 
     /// One row per (mode, episode band).
-    pub fn to_csv(&self) -> String {
-        let mut headers = vec![
-            "mode".to_string(),
-            "episodes".to_string(),
-            "runs".to_string(),
-        ];
-        for m in WARMSTART_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+    fn to_csv(&self) -> String {
+        let mut headers: Vec<String> = ["mode", "episodes", "runs"].map(String::from).into();
+        headers.extend(Metrics::csv_header(&EPISODE_METRICS));
+        headers.extend(Metrics::csv_header(&SESSION_METRICS));
         let mut t = Table::new(headers);
-        let stat3 = |s: &SummaryStat| {
-            vec![
-                format!("{}", s.mean),
-                format!("{}", s.stddev),
-                format!("{}", s.ci95),
-            ]
-        };
         for c in &self.cells {
             let mut row = vec![c.name().to_string(), "1".to_string(), c.runs.to_string()];
-            for (_, s) in &c.first_episode {
-                row.extend(stat3(s));
-            }
+            row.extend(c.first_episode.csv_cells());
             row.extend(["", "", ""].map(String::from)); // hit_rate: repeats only
             t.push_row(row);
             let mut row = vec![
@@ -502,12 +403,89 @@ impl WarmstartReport {
                 format!("2..{}", self.episodes),
                 c.runs.to_string(),
             ];
-            for m in WARMSTART_METRICS {
-                row.extend(stat3(c.stat(m)));
-            }
+            row.extend(c.metrics.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
+    }
+}
+
+impl Experiment for WarmstartConfig {
+    const NAME: &'static str = "warmstart";
+    const ABOUT: &'static str = "warm vs cold admission over a repeated-shape workload";
+    const QUICK: &'static str = "CI smoke config (60 nodes, 2 episodes, 2 seeds)";
+    const USAGE: &'static str = "  --nodes N            topology size, >= 40          (default 60)
+  --episodes N         admissions of the repeated shape per session, >= 2
+                       (default 3; episode 1 warms the cache, 2.. are measured)
+  --cycles N           sampling cycles per episode    (default 45; must exceed
+                       the learn interval of 20 or nobody migrates)";
+    const BENCH: Option<&'static str> = Some("BENCH_warmstart.json");
+    type Report = WarmstartReport;
+
+    fn quick() -> Self {
+        WarmstartConfig {
+            episodes: 2,
+            seeds: seed_range(2),
+            ..WarmstartConfig::default()
+        }
+    }
+
+    fn flag(&mut self, name: &str, v: &str) -> Result<(), String> {
+        use harness::number;
+        match name {
+            "--nodes" => self.nodes = number(name, v)?,
+            "--episodes" => self.episodes = number(name, v)?,
+            "--cycles" => self.episode_cycles = number(name, v)?,
+            _ => return Err(harness::unknown_option(name)),
+        }
+        Ok(())
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.nodes < 40 {
+            return Err("--nodes must be at least 40 (the query splits ids at 20/40)".into());
+        }
+        if self.episodes < 2 {
+            return Err("--episodes must be at least 2 (episode 1 only warms the cache)".into());
+        }
+        Ok(())
+    }
+
+    fn knobs(&mut self) -> Knobs<'_> {
+        Knobs {
+            seeds: &mut self.seeds,
+            threads: &mut self.threads,
+            run_threads: Some(&mut self.run_threads),
+        }
+    }
+
+    fn cell_count(&self) -> usize {
+        2
+    }
+
+    /// Fan every (mode, seed) run across OS threads and aggregate.
+    fn run(&self) -> WarmstartReport {
+        let modes = [false, true];
+        let samples = fan_out(&modes, &self.seeds, self.threads, |&m, s| {
+            self.run_one(m, s)
+        });
+        let cells = modes
+            .iter()
+            .zip(samples)
+            .map(|(&warm, rows)| ModeResult::aggregate(warm, &rows))
+            .collect();
+        WarmstartReport {
+            algo: algo_name(self.algo().0, self.algo().1),
+            nodes: self.nodes,
+            episodes: self.episodes,
+            episode_cycles: self.episode_cycles,
+            seeds: self.seeds.clone(),
+            cells,
+        }
+    }
+
+    fn stdout(r: &WarmstartReport) -> String {
+        r.to_table().to_aligned_string() + "\n" + &r.savings_line() + "\n"
     }
 }
 
@@ -523,55 +501,28 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_shows_warm_savings_and_emits_all_formats() {
+    fn warm_readmission_saves_migrations() {
         let rep = test_cfg().run();
         assert_eq!(rep.cells.len(), 2);
         let cold = rep.mode(false);
         let warm = rep.mode(true);
         // Cold sessions never touch the cache; warm sessions hit on every
         // re-admission.
-        assert_eq!(cold.stat("hit_rate").mean, 0.0);
-        assert_eq!(warm.stat("hit_rate").mean, 0.5);
+        assert_eq!(cold.metrics.get("hit_rate").mean, 0.0);
+        assert_eq!(warm.metrics.get("hit_rate").mean, 0.5);
         assert!(warm.cache.insertions >= 1);
         // The scenario must give the cache something to save…
         assert!(
-            cold.stat("migrated_pairs").mean > 0.0,
+            cold.metrics.get("migrated_pairs").mean > 0.0,
             "cold re-admission never migrated; the scenario no longer exercises §6"
         );
         // …and the hit must converge no slower while moving strictly
         // fewer pairs (and so strictly less window-transfer traffic).
-        assert!(warm.stat("convergence_cycles").mean <= cold.stat("convergence_cycles").mean);
-        assert!(warm.stat("migrated_pairs").mean < cold.stat("migrated_pairs").mean);
-        assert!(warm.stat("ctrl_bytes").mean < cold.stat("ctrl_bytes").mean);
-        let table = rep.to_table().to_aligned_string();
-        assert!(table.contains("warm") && table.contains("cold"));
-        let json = rep.to_json();
-        assert!(json.contains("\"mode\": \"warm\""));
-        assert!(json.contains("\"repeat_episodes\""));
-        let csv = rep.to_csv();
-        // Header + 2 episode bands per mode x 2 modes.
-        assert_eq!(csv.lines().count(), 1 + 2 * 2);
-        assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn warmstart_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| WarmstartConfig {
-            threads,
-            run_threads,
-            ..test_cfg()
-        };
-        let a = cfg(1, 1).run();
-        // Cross-replicate fan-out, intra-run chunking, and both at once
-        // must all reproduce the sequential report byte-for-byte.
-        for (threads, run_threads) in [(4, 1), (1, 8), (2, 2)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
+        assert!(
+            warm.metrics.get("convergence_cycles").mean
+                <= cold.metrics.get("convergence_cycles").mean
+        );
+        assert!(warm.metrics.get("migrated_pairs").mean < cold.metrics.get("migrated_pairs").mean);
+        assert!(warm.metrics.get("ctrl_bytes").mean < cold.metrics.get("ctrl_bytes").mean);
     }
 }

@@ -17,9 +17,10 @@
 //! EXPERIMENTS.md § Golden outputs).
 
 use aspen_bench::federate::FederateConfig;
+use aspen_bench::harness::{Experiment, Report};
 use aspen_bench::multiq::MultiqConfig;
 use aspen_bench::optimize::OptimizeConfig;
-use aspen_bench::sweep::SweepGrid;
+use aspen_bench::sweep::{Recovery, SweepGrid};
 use aspen_bench::warmstart::WarmstartConfig;
 use std::path::PathBuf;
 
@@ -73,74 +74,41 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-/// Check one quick experiment's three outputs: `NAME_quick.json`,
-/// `NAME_quick.csv` and `NAME_quick.txt` (stdout).
-fn check_outputs(name: &str, json: &str, csv: &str, stdout: &str) {
-    check_golden(&format!("{name}_quick.json"), json);
-    check_golden(&format!("{name}_quick.csv"), csv);
-    check_golden(&format!("{name}_quick.txt"), stdout);
+/// Check one quick experiment's three outputs against
+/// `NAME_quick.json`, `NAME_quick.csv` and `NAME_quick.txt` (stdout).
+fn check_quick<E: Experiment>() {
+    let r = E::quick().run();
+    check_golden(&format!("{}_quick.json", E::NAME), &r.to_json());
+    check_golden(&format!("{}_quick.csv", E::NAME), &r.to_csv());
+    check_golden(&format!("{}_quick.txt", E::NAME), &E::stdout(&r));
 }
 
-/// `experiments sweep --quick` (the 24-run CI grid).
 #[test]
 fn sweep_quick_outputs_match_golden() {
-    let r = SweepGrid::quick().run();
-    let stdout = format!("{}\n", r.to_table().to_aligned_string());
-    check_outputs("sweep", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<SweepGrid>();
 }
 
-/// `experiments recovery --quick` (the §7 failure-schedule grid).
 #[test]
 fn recovery_quick_outputs_match_golden() {
-    let r = SweepGrid::recovery_quick().run();
-    let stdout = format!("{}\n", r.to_recovery_table().to_aligned_string());
-    check_outputs("recovery", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<Recovery>();
 }
 
-/// `experiments multiq --quick` (the 4-query shared-vs-independent
-/// comparison).
 #[test]
 fn multiq_quick_outputs_match_golden() {
-    let r = MultiqConfig::quick().run();
-    let stdout = format!(
-        "{}\n{}\n",
-        r.to_table().to_aligned_string(),
-        r.savings_line()
-    );
-    check_outputs("multiq", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<MultiqConfig>();
 }
 
-/// `experiments optimize --quick` (the n-way join plan quality
-/// comparison: bushy DP vs left-deep vs pairwise-greedy).
 #[test]
 fn optimize_quick_outputs_match_golden() {
-    let r = OptimizeConfig::quick().run();
-    let stdout = format!("{}\n{}\n", r.to_table().to_aligned_string(), r.headline());
-    check_outputs("optimize", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<OptimizeConfig>();
 }
 
-/// `experiments warmstart --quick` (the warm-vs-cold admission
-/// comparison over a repeated-shape workload).
 #[test]
 fn warmstart_quick_outputs_match_golden() {
-    let r = WarmstartConfig::quick().run();
-    let stdout = format!(
-        "{}\n{}\n",
-        r.to_table().to_aligned_string(),
-        r.savings_line()
-    );
-    check_outputs("warmstart", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<WarmstartConfig>();
 }
 
-/// `experiments federate --quick` (the cross-network federation
-/// comparison: gateway-routed joins vs ship-everything-to-one-base).
 #[test]
 fn federate_quick_outputs_match_golden() {
-    let r = FederateConfig::quick().run();
-    let stdout = format!(
-        "{}\n{}\n",
-        r.to_table().to_aligned_string(),
-        r.savings_line()
-    );
-    check_outputs("federate", &r.to_json(), &r.to_csv(), &stdout);
+    check_quick::<FederateConfig>();
 }
