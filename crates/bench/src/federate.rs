@@ -243,7 +243,7 @@ impl Report for FederateReport {
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), c.metrics.to_json()),
+                    ("metrics".into(), c.metrics.json()),
                 ])
             })
             .collect();

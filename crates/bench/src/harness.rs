@@ -8,7 +8,7 @@
 //! - [`Metrics`]: ordered, seed-aggregated named [`SummaryStat`]s built
 //!   from `(name, fn(&Sample) -> f64)` [`Column`]s, with the JSON object
 //!   and the mean/stddev/ci95 CSV cells every report embeds;
-//! - [`fan_out`]: every (cell, seed) run across OS threads, samples
+//! - `fan_out`: every (cell, seed) run across OS threads, samples
 //!   returned grouped per cell in grid order;
 //! - [`main`]: the CLI driver for the shared flags (`--help`, `--quick`,
 //!   `--seeds`, `--threads`, `--run-threads`, `--out`,
@@ -16,7 +16,7 @@
 //! - [`check_determinism`]: the determinism contract — a report's JSON,
 //!   CSV and stdout are byte-identical for any fan-out and intra-run
 //!   thread count;
-//! - [`write_outputs`]: `PREFIX.json`, `PREFIX.csv` and the optional
+//! - one writer for `PREFIX.json`, `PREFIX.csv` and the optional
 //!   `BENCH_*.json` record stamped with run metadata.
 //!
 //! Table layouts, headline lines, JSON key order and CSV row shapes stay
@@ -65,7 +65,7 @@ impl Metrics {
     }
 
     /// `{name: {n, mean, stddev, ci95, min, max}, ...}` in column order.
-    pub fn to_json(&self) -> Json {
+    pub fn json(&self) -> Json {
         Json::Obj(
             self.0
                 .iter()
@@ -89,12 +89,12 @@ impl Metrics {
 }
 
 /// The mean, stddev and ci95 CSV cells of one statistic.
-pub fn csv_stat(s: &SummaryStat) -> [String; 3] {
+pub(crate) fn csv_stat(s: &SummaryStat) -> [String; 3] {
     [s.mean, s.stddev, s.ci95].map(|x| format!("{x}"))
 }
 
 /// The `"seeds"` array every report carries.
-pub fn seeds_json(seeds: &[u64]) -> Json {
+pub(crate) fn seeds_json(seeds: &[u64]) -> Json {
     Json::Arr(seeds.iter().map(|&s| Json::num(s as f64)).collect())
 }
 
@@ -102,7 +102,7 @@ pub fn seeds_json(seeds: &[u64]) -> Json {
 /// `threads` OS threads (0 = all cores). Samples come back grouped per
 /// cell in grid order, seeds in order within a cell, whatever the thread
 /// count.
-pub fn fan_out<C: Sync, S: Send>(
+pub(crate) fn fan_out<C: Sync, S: Send>(
     cells: &[C],
     seeds: &[u64],
     threads: usize,
@@ -170,9 +170,11 @@ pub trait Experiment: Clone + Default + Sync {
     /// Cells in the grid; each runs once per seed.
     fn cell_count(&self) -> usize;
     fn run(&self) -> Self::Report;
-    /// What the subcommand prints: its table, then its headline line.
+    /// What the subcommand prints: its table, then its headline line if
+    /// it has one.
     fn stdout(report: &Self::Report) -> String;
 
+    /// The `--out` prefix when none is given.
     fn default_out(_quick: bool) -> String {
         format!("target/{0}/{0}", Self::NAME)
     }
@@ -199,7 +201,11 @@ pub fn seed_count(flag: &str, v: &str) -> Result<u64, String> {
 
 /// A comma-separated list value; an empty list is an error (an empty
 /// grid dimension would silently yield a 0-cell run).
-pub fn list<T>(flag: &str, v: &str, item: impl Fn(&str) -> Option<T>) -> Result<Vec<T>, String> {
+pub(crate) fn list<T>(
+    flag: &str,
+    v: &str,
+    item: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
     let items = v
         .split(',')
         .filter(|s| !s.is_empty())
@@ -211,12 +217,13 @@ pub fn list<T>(flag: &str, v: &str, item: impl Fn(&str) -> Option<T>) -> Result<
     Ok(items)
 }
 
+/// The error for a flag the subcommand does not take.
 pub fn unknown_option(name: &str) -> String {
     format!("unknown option {name}")
 }
 
 /// The subcommand's usage: its own flags, then the shared ones.
-pub fn usage<E: Experiment>() -> String {
+fn usage<E: Experiment>() -> String {
     let pad = " ".repeat(23);
     let mut d = E::default();
     let k = d.knobs();
@@ -249,17 +256,17 @@ pub fn usage<E: Experiment>() -> String {
 }
 
 /// A parsed subcommand invocation.
-pub struct Invocation<E> {
-    pub exp: E,
-    pub quick: bool,
-    pub out: String,
-    pub check_determinism: bool,
+struct Invocation<E> {
+    exp: E,
+    quick: bool,
+    out: String,
+    check_determinism: bool,
 }
 
 /// Parse a subcommand's arguments; `Ok(None)` asks for the usage text.
 /// `--quick` selects the base config first, wherever it appears, so
 /// every other flag overrides it in any order.
-pub fn parse<E: Experiment>(args: &[String]) -> Result<Option<Invocation<E>>, String> {
+fn parse<E: Experiment>(args: &[String]) -> Result<Option<Invocation<E>>, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(None);
     }
@@ -293,10 +300,10 @@ pub fn parse<E: Experiment>(args: &[String]) -> Result<Option<Invocation<E>>, St
 
 /// (fan-out threads, intra-run threads) pairs the determinism check
 /// re-runs at: every value 1, 2 and 8 on both axes.
-pub const DETERMINISM_PAIRS: [(usize, usize); 3] = [(1, 1), (2, 2), (8, 8)];
+const DETERMINISM_PAIRS: [(usize, usize); 3] = [(1, 1), (2, 2), (8, 8)];
 
-/// Re-run `exp` at every [`DETERMINISM_PAIRS`] entry and compare the
-/// JSON, CSV and stdout with `report`'s.
+/// Re-run `exp` at (fan-out threads, intra-run threads) = (1,1), (2,2)
+/// and (8,8) and compare the JSON, CSV and stdout with `report`'s.
 pub fn check_determinism<E: Experiment>(exp: &E, report: &E::Report) -> Result<(), String> {
     let render = |r: &E::Report| [r.to_json(), r.to_csv(), E::stdout(r)];
     let want = render(report);
@@ -341,7 +348,7 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
 
 /// The `"run"` object a `BENCH_*.json` record carries: where and how the
 /// numbers were produced.
-pub fn run_metadata(quick: bool, seeds: usize) -> Json {
+fn run_metadata(quick: bool, seeds: usize) -> Json {
     Json::Obj(vec![
         (
             "git_commit".into(),
@@ -366,7 +373,7 @@ pub fn run_metadata(quick: bool, seeds: usize) -> Json {
 /// Write `PREFIX.json`, `PREFIX.csv` and, for experiments that keep one,
 /// the `BENCH_*.json` record (the JSON plus a `"run"` metadata object).
 /// Returns the paths written.
-pub fn write_outputs<E: Experiment>(
+fn write_outputs<E: Experiment>(
     inv: &Invocation<E>,
     report: &E::Report,
     seeds: usize,

@@ -271,7 +271,7 @@ impl Report for MultiqReport {
                     ("mode".into(), Json::str(c.sharing.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
                     ("queries".into(), Json::Arr(per_query)),
-                    ("metrics".into(), c.metrics.to_json()),
+                    ("metrics".into(), c.metrics.json()),
                 ])
             })
             .collect();

@@ -299,7 +299,7 @@ impl Report for OptimizeReport {
                     ("workload".into(), Json::str(c.name)),
                     ("relations".into(), Json::num(c.relations as f64)),
                     ("edges".into(), Json::num(c.edges as f64)),
-                    ("metrics".into(), c.metrics.to_json()),
+                    ("metrics".into(), c.metrics.json()),
                     ("dp_strict_wins".into(), Json::num(c.dp_strict_wins as f64)),
                     ("bushy_plans".into(), Json::num(c.bushy_plans as f64)),
                     ("dp_shape".into(), Json::str(&c.dp_shape)),

@@ -4,11 +4,12 @@
 //!
 //! A grid expands to cells in a fixed nested order, every (cell, seed) run
 //! is an independent deterministic simulation, and the runs fan out across
-//! OS threads through [`fan_out`] — so a report is byte-identical for any
-//! thread count. The sweep and recovery table layouts and the JSON/CSV
-//! emitters live here; the figure drivers in the `experiments` binary are
-//! thin formatters over a [`SweepReport`]. [`SweepGrid`] is the `sweep`
-//! subcommand and [`Recovery`] the `recovery` one.
+//! OS threads through the harness's `fan_out` — so a report is
+//! byte-identical for any thread count. The sweep and recovery table
+//! layouts and the JSON/CSV emitters live here; the figure drivers in
+//! the `experiments` binary are thin formatters over a [`SweepReport`].
+//! [`SweepGrid`] is the `sweep` subcommand and [`Recovery`] the
+//! `recovery` one.
 
 use crate::harness::{self, fan_out, seeds_json, Column, Experiment, Knobs, Metrics, Report};
 use aspen_join::prelude::*;
@@ -412,10 +413,6 @@ impl CellSpec {
         algo_name(self.algo, self.opts)
     }
 
-    fn algo_cfg(&self) -> AlgoConfig {
-        AlgoConfig::new(self.algo, Sigma::from_rates(self.rates)).with_innet_options(self.opts)
-    }
-
     /// Run this cell for one seed. Seed covers topology, workload, link
     /// RNG and dynamics-plan victim draws, exactly as the figure harness
     /// seeds its scenarios. `run_threads` is the *intra-run* transmit-phase
@@ -439,7 +436,8 @@ impl CellSpec {
         if self.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        let cfg = self.algo_cfg();
+        let cfg =
+            AlgoConfig::new(self.algo, Sigma::from_rates(self.rates)).with_innet_options(self.opts);
         let mut session = match self.query {
             WorkloadSel::Single(q) => Scenario {
                 topo,
@@ -686,12 +684,7 @@ impl Experiment for SweepGrid {
     }
 
     fn default_out(quick: bool) -> String {
-        if quick {
-            "target/sweep/quick"
-        } else {
-            "target/sweep/sweep"
-        }
-        .to_string()
+        format!("target/sweep/{}", if quick { "quick" } else { "sweep" })
     }
 }
 
@@ -917,7 +910,7 @@ impl Report for SweepReport {
                     ("algorithm".into(), Json::str(c.spec.algo_name())),
                     ("dynamics".into(), Json::str(c.spec.dynamics.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), c.metrics.to_json()),
+                    ("metrics".into(), c.metrics.json()),
                 ])
             })
             .collect();

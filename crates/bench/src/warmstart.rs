@@ -366,8 +366,8 @@ impl Report for WarmstartReport {
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("first_episode".into(), c.first_episode.to_json()),
-                    ("repeat_episodes".into(), c.metrics.to_json()),
+                    ("first_episode".into(), c.first_episode.json()),
+                    ("repeat_episodes".into(), c.metrics.json()),
                     ("cache".into(), cache),
                 ])
             })

@@ -23,7 +23,8 @@
 //!   report; the concurrent multi-query machinery ([`join::multi`] —
 //!   per-query lifecycle, independent vs shared-tree frame delivery)
 //!   is its tagged wire format
-//! - [`bench`](mod@bench) — the experiment harness, including the declarative
+//! - [`bench`](mod@bench) — the experiments: one harness for the six grid
+//!   subcommands ([`bench::harness`]), the declarative
 //!   multi-seed scenario-sweep subsystem ([`bench::sweep`], built on the
 //!   engine-side fan-out in [`sim::sweep`]) with its `dynamics` grid
 //!   dimension, §7 recovery metrics (`experiments recovery`), the

@@ -2,6 +2,7 @@
 //! `src/lib.rs` must resolve and do real (if tiny) work, and the shipped
 //! examples must keep compiling.
 
+use aspen::bench::harness::{Experiment, Report};
 use aspen::join::prelude::*;
 use aspen::join::Algorithm;
 use aspen::net::NodeId;
