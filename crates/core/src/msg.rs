@@ -9,6 +9,7 @@ use crate::cost::Sigma;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_summaries::Constraint;
+use std::sync::Arc;
 
 /// A join pair, keyed (s, t).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +80,8 @@ pub enum Msg {
         descending: bool,
         s: NodeId,
         s_static: Tuple,
-        constraints: Vec<(u8, Constraint)>,
+        /// The source's routable constraints, shared by every hop.
+        constraints: Arc<[(u8, Constraint)]>,
         /// Nodes visited so far (ends with the current hop's sender).
         path: Vec<NodeId>,
         /// Primary-tree base distance of each node on `path`.

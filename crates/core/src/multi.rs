@@ -59,8 +59,7 @@ use sensor_query::JoinQuerySpec;
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::{Ctx, Emitted, Engine, FlowMetrics, Protocol, SimConfig};
 use sensor_workload::WorkloadData;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Wire bytes of the per-frame query tag (up to 256 concurrent queries).
 pub const QUERY_TAG_BYTES: u32 = 1;
@@ -469,7 +468,7 @@ pub struct MultiRun {
     pub(crate) data: WorkloadData,
     /// Master death ledger: every node that died so far, so queries
     /// admitted later inherit the deaths regardless of query population.
-    dead: Mutex<HashSet<NodeId>>,
+    dead: Vec<NodeId>,
     /// §7 recovery counters carried by retired queries' protocol state
     /// (deactivation replaces each node's slot with fresh state, so the
     /// counters are absorbed here to keep network totals monotone).
@@ -506,7 +505,7 @@ impl MultiRun {
             shareds: Vec::new(),
             sub,
             data,
-            dead: Mutex::new(HashSet::new()),
+            dead: Vec::new(),
             retired_recovery: RecoveryStats::default(),
             retired_migrations: 0,
             retired_xfer_bytes: 0,
@@ -532,14 +531,14 @@ impl MultiRun {
     /// the substrate and inherits the already-known deaths; it starts
     /// inactive. Returns the new slot index.
     pub(crate) fn add_query(&mut self, spec: JoinQuerySpec, cfg: AlgoConfig) -> usize {
-        let dead = self.dead.lock().unwrap().clone();
         let sh = Arc::new(Shared::new(
             self.engine.topology(),
             self.sub.clone(),
             spec,
             &self.data,
             cfg,
-            dead,
+            &self.dead,
+            self.engine.config().tx_per_sampling_cycle,
         ));
         for i in 0..self.engine.topology().len() {
             self.engine.node_mut(NodeId(i as u16)).add_slot(&sh);
@@ -550,8 +549,10 @@ impl MultiRun {
 
     /// Record a death in the run-level ledger and every resident query's
     /// liveness oracle (later admissions inherit it from the ledger).
-    pub(crate) fn mark_dead(&self, v: NodeId) {
-        self.dead.lock().unwrap().insert(v);
+    pub(crate) fn mark_dead(&mut self, v: NodeId) {
+        if !self.dead.contains(&v) {
+            self.dead.push(v);
+        }
         for sh in &self.shareds {
             sh.mark_dead(v);
         }

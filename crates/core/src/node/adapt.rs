@@ -578,11 +578,11 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::RouteBroken {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::RouteBroken {
             pair,
             failed,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.producer_route_broken(ctx, failed, true);

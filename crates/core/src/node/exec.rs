@@ -1,7 +1,7 @@
 //! Execution: per-cycle sampling, data shipment, windowed join
 //! computation and result delivery (§2.2, §3.2).
 
-use super::{JoinNode, PairState};
+use super::{GhtGroup, JoinNode, PairState};
 use crate::msg::{side, Msg, Pair, Route};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
@@ -81,15 +81,15 @@ impl JoinNode {
             route: Route::TreeUp,
             fallback,
         };
-        if !self.forward_tree_up(ctx, msg.clone()) {
+        if !self.forward_tree_up(ctx, msg) {
             // I am the base myself (possible for GHT homes near the root).
             self.base_consume_data(ctx, self.id, sides, tuple, fallback);
         }
     }
 
     fn ght_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Tuple) {
-        let routes = self.ght_routes.clone();
-        for (key, path, route_sides) in routes {
+        for i in 0..self.ght_routes.len() {
+            let (key, ref path, route_sides) = self.ght_routes[i];
             let use_sides = sides & route_sides;
             if use_sides == 0 {
                 continue;
@@ -99,6 +99,7 @@ impl JoinNode {
                 self.ght_consume(ctx, key, self.id, use_sides, tuple);
                 continue;
             }
+            let next = path[1];
             let msg = Msg::Data {
                 from: self.id,
                 sides: use_sides,
@@ -109,7 +110,7 @@ impl JoinNode {
                 },
                 fallback: None,
             };
-            self.send(ctx, path[1], msg);
+            self.send(ctx, next, msg);
         }
     }
 
@@ -128,12 +129,14 @@ impl JoinNode {
             if !relevant {
                 continue;
             }
-            if asg.base_mode || asg.j_idx.is_none() {
-                any_base = true;
-                continue;
-            }
-            let route = asg.route_to_j(self.id).expect("innet route");
-            let j = *route.last().unwrap();
+            let j_idx = match asg.j_idx {
+                Some(j_idx) if !asg.base_mode => j_idx,
+                _ => {
+                    any_base = true;
+                    continue;
+                }
+            };
+            let j = asg.path[j_idx];
             if j == self.id {
                 // I am the join node for my own pair: local insert.
                 local.push((asg.pair, my_side_s));
@@ -148,7 +151,7 @@ impl JoinNode {
                 continue; // covered by the multicast below
             }
             if !unicast.iter().any(|(jj, _)| *jj == j) {
-                unicast.push((j, route));
+                unicast.push((j, asg.route_to_j(self.id).expect("innet route")));
             }
         }
         for (pair, my_side_s) in local {
@@ -168,31 +171,26 @@ impl JoinNode {
             self.forward_mcast(ctx, self.id, msg);
         }
         for (_, path) in unicast {
+            let next = path[1];
             let msg = Msg::Data {
                 from: self.id,
                 sides,
                 tuple,
-                route: Route::Path {
-                    path: path.clone(),
-                    pos: 1,
-                },
+                route: Route::Path { path, pos: 1 },
                 fallback: None,
             };
-            self.send(ctx, path[1], msg);
+            self.send(ctx, next, msg);
         }
     }
 
     /// Forward a multicast message to this node's children for `owner`.
     pub(super) fn forward_mcast(&self, ctx: &mut Ctx<'_, Msg>, owner: NodeId, msg: Msg) {
-        let children = if owner == self.id {
-            self.mc_tree
-                .as_ref()
-                .map(|t| t.children(self.id).to_vec())
-                .unwrap_or_default()
+        let children: &[NodeId] = if owner == self.id {
+            self.mc_tree.as_ref().map_or(&[], |t| t.children(self.id))
         } else {
-            self.mc_children.get(&owner).cloned().unwrap_or_default()
+            self.mc_children.get(&owner).map_or(&[], Vec::as_slice)
         };
-        for c in children {
+        for &c in children {
             self.send(ctx, c, msg.clone());
         }
     }
@@ -222,14 +220,11 @@ impl JoinNode {
                 }
             }
             Route::Path { path, pos } => {
-                let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::Data {
+                let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::Data {
                     from: origin,
                     sides,
                     tuple,
-                    route: Route::Path {
-                        path: path.clone(),
-                        pos: p,
-                    },
+                    route: Route::Path { path, pos },
                     fallback,
                 });
                 if !forwarded {
@@ -286,22 +281,14 @@ impl JoinNode {
     /// Windowed join at an Innet join node for all pairs involving the
     /// sender.
     fn innet_join(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, sides: u8, tuple: Tuple) {
-        let w = self.sh.spec.window;
+        let spec = &self.sh.spec;
         let mut results = 0u32;
-        let mut pair_keys: Vec<Pair> = self
-            .pairs
-            .values()
-            .filter(|p| {
-                (p.pair.s == origin && sides & side::S != 0)
-                    || (p.pair.t == origin && sides & side::T != 0)
-            })
-            .map(|p| p.pair)
-            .collect();
-        pair_keys.sort_unstable();
-        for key in pair_keys {
-            let spec = self.sh.spec.clone();
-            let st = self.pairs.get_mut(&key).unwrap();
-            results += join_into_pair(&spec, st, origin, tuple, w);
+        for st in self.pairs.values_mut() {
+            if (st.pair.s == origin && sides & side::S != 0)
+                || (st.pair.t == origin && sides & side::T != 0)
+            {
+                results += join_into_pair(spec, st, origin, tuple, spec.window);
+            }
         }
         self.produced_results += results as u64;
         if results > 0 {
@@ -317,10 +304,9 @@ impl JoinNode {
         _my_side_s: bool,
         tuple: Tuple,
     ) {
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
         if let Some(st) = self.pairs.get_mut(&pair) {
-            let results = join_into_pair(&spec, st, self.id, tuple, w);
+            let results = join_into_pair(spec, st, self.id, tuple, spec.window);
             self.produced_results += results as u64;
             if results > 0 {
                 self.emit_results(ctx, results, tuple.cycle);
@@ -350,53 +336,44 @@ impl JoinNode {
         sides: u8,
         tuple: Tuple,
     ) {
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
+        let w = spec.window;
         let mut results = 0u32;
-        if let Some(group) = self.ght_groups.get_mut(&key) {
-            let members = group.members.clone();
+        if let Some(GhtGroup { members, windows }) = self.ght_groups.get_mut(&key) {
             // As S tuple: probe T members' windows.
             if sides & side::S != 0 {
-                for (m, m_sides, m_statics) in &members {
+                for (m, m_sides, m_statics) in members.iter() {
                     if *m == origin || m_sides & side::T == 0 {
                         continue;
                     }
                     if !spec.analysis.static_join_matches(&tuple, m_statics) {
                         continue;
                     }
-                    if let Some(win) = group.windows.get(&(*m, side::T)) {
+                    if let Some(win) = windows.get(&(*m, side::T)) {
                         results += win
                             .iter()
                             .filter(|tt| spec.analysis.join_matches(&tuple, tt))
                             .count() as u32;
                     }
                 }
-                push_window(
-                    group.windows.entry((origin, side::S)).or_default(),
-                    tuple,
-                    w,
-                );
+                push_window(windows.entry((origin, side::S)).or_default(), tuple, w);
             }
             if sides & side::T != 0 {
-                for (m, m_sides, m_statics) in &members {
+                for (m, m_sides, m_statics) in members.iter() {
                     if *m == origin || m_sides & side::S == 0 {
                         continue;
                     }
                     if !spec.analysis.static_join_matches(m_statics, &tuple) {
                         continue;
                     }
-                    if let Some(win) = group.windows.get(&(*m, side::S)) {
+                    if let Some(win) = windows.get(&(*m, side::S)) {
                         results += win
                             .iter()
                             .filter(|ss| spec.analysis.join_matches(ss, &tuple))
                             .count() as u32;
                     }
                 }
-                push_window(
-                    group.windows.entry((origin, side::T)).or_default(),
-                    tuple,
-                    w,
-                );
+                push_window(windows.entry((origin, side::T)).or_default(), tuple, w);
             }
         }
         self.produced_results += results as u64;
@@ -441,7 +418,7 @@ impl JoinNode {
     }
 
     pub(super) fn base_record_results(&mut self, now: u64, count: u64, gen_cycle: u32) {
-        let tx_per = 100u64; // sampling interval in transmission cycles
+        let tx_per = u64::from(self.sh.tx_per_sampling_cycle);
         let b = self.base.as_mut().expect("result recorded off-base");
         let born = gen_cycle as u64 * tx_per;
         let delay = now.saturating_sub(born) as u32;
@@ -466,8 +443,8 @@ impl JoinNode {
         fallback: Option<Pair>,
     ) {
         let now = ctx.now;
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
+        let w = spec.window;
         let origin_static = *self.sh.data.static_of(origin);
         let Some(b) = self.base.as_mut() else {
             return;
@@ -495,23 +472,18 @@ impl JoinNode {
             } else {
                 side::S
             };
-            let mut partners: Vec<(NodeId, u8)> = b
-                .senders
-                .keys()
-                .copied()
-                .filter(|(n, sd)| *sd == opposite && *n != origin)
-                .collect();
-            partners.sort_unstable();
-            for (partner, _) in partners {
-                let p_static = b.senders[&(partner, opposite)];
+            for (&(partner, sd), p_static) in &b.senders {
+                if sd != opposite || partner == origin {
+                    continue;
+                }
                 let statically_joins = if probe_side == side::S {
                     spec.analysis.s_eligible(&origin_static)
-                        && spec.analysis.t_eligible(&p_static)
-                        && spec.analysis.static_join_matches(&origin_static, &p_static)
+                        && spec.analysis.t_eligible(p_static)
+                        && spec.analysis.static_join_matches(&origin_static, p_static)
                 } else {
-                    spec.analysis.s_eligible(&p_static)
+                    spec.analysis.s_eligible(p_static)
                         && spec.analysis.t_eligible(&origin_static)
-                        && spec.analysis.static_join_matches(&p_static, &origin_static)
+                        && spec.analysis.static_join_matches(p_static, &origin_static)
                 };
                 if !statically_joins {
                     continue;
@@ -576,17 +548,15 @@ impl JoinNode {
         for t in targets {
             let path = self.sh.tree_path(self.id, t);
             if path.len() > 1 {
+                let next = path[1];
                 let msg = Msg::Data {
                     from: origin,
                     sides: side::S,
                     tuple,
-                    route: Route::Path {
-                        path: path.clone(),
-                        pos: 1,
-                    },
+                    route: Route::Path { path, pos: 1 },
                     fallback: None,
                 };
-                self.send(ctx, path[1], msg);
+                self.send(ctx, next, msg);
             }
         }
     }

@@ -8,10 +8,11 @@ use crate::msg::{side, Msg, Pair};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
-use sensor_routing::search::{next_hops, SearchQuery};
+use sensor_routing::search::next_hops;
 use sensor_sim::Ctx;
 use sensor_summaries::Constraint;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 impl JoinNode {
     // ----- dissemination ---------------------------------------------------
@@ -105,9 +106,9 @@ impl JoinNode {
         pos: usize,
         participate: bool,
     ) {
-        let done = !self.forward_path(ctx, &path, pos, |p| Msg::Verdict {
-            path: path.clone(),
-            pos: p,
+        let done = !self.forward_path(ctx, path, pos, |path, pos| Msg::Verdict {
+            path,
+            pos,
             participate,
         });
         if done && !participate {
@@ -197,13 +198,13 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::GhtRegister {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::GhtRegister {
             origin,
             sides,
             key,
             statics,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.register_ght_member(key, origin, sides, statics);
@@ -232,7 +233,8 @@ impl JoinNode {
         if !self.is_s {
             return;
         }
-        let constraints = self.sh.spec.plan.search_constraints(&self.statics);
+        let constraints: Arc<[(u8, Constraint)]> =
+            self.sh.spec.plan.search_constraints(&self.statics).into();
         if constraints.is_empty() {
             // Unroutable query: §2 — only base-station joining is feasible;
             // nominate the base directly for every statically matching
@@ -248,13 +250,14 @@ impl JoinNode {
                 self.id,
                 self.statics,
                 &constraints,
-                vec![self.id],
-                vec![self.sh.sub.hops_to_base(self.id)],
+                &[self.id],
+                &[self.sh.sub.hops_to_base(self.id)],
             );
         }
     }
 
-    /// Apply the §2.2 search forwarding rule from the current node.
+    /// Apply the §2.2 search forwarding rule from the current node: each
+    /// next hop gets the path and hops so far, extended by itself.
     #[allow(clippy::too_many_arguments)]
     fn forward_search(
         &self,
@@ -264,23 +267,25 @@ impl JoinNode {
         from_child: Option<NodeId>,
         s: NodeId,
         s_static: Tuple,
-        constraints: &[(u8, Constraint)],
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
+        constraints: &Arc<[(u8, Constraint)]>,
+        path: &[NodeId],
+        hops: &[u16],
     ) {
-        let q = SearchQuery::new(constraints.to_vec());
+        let sub = &self.sh.sub;
         for (next, next_descending) in next_hops(
-            &self.sh.sub,
+            sub,
             tree as usize,
             self.id,
             descending,
             from_child,
-            &q,
+            constraints,
         ) {
-            let mut p = path.clone();
+            let mut p = Vec::with_capacity(path.len() + 1);
+            p.extend_from_slice(path);
             p.push(next);
-            let mut h = hops.clone();
-            h.push(self.sh.sub.hops_to_base(next));
+            let mut h = Vec::with_capacity(hops.len() + 1);
+            h.extend_from_slice(hops);
+            h.push(sub.hops_to_base(next));
             self.send(
                 ctx,
                 next,
@@ -289,7 +294,7 @@ impl JoinNode {
                     descending: next_descending,
                     s,
                     s_static,
-                    constraints: constraints.to_vec(),
+                    constraints: Arc::clone(constraints),
                     path: p,
                     hops: h,
                 },
@@ -306,7 +311,7 @@ impl JoinNode {
         descending: bool,
         s: NodeId,
         s_static: Tuple,
-        constraints: Vec<(u8, Constraint)>,
+        constraints: Arc<[(u8, Constraint)]>,
         path: Vec<NodeId>,
         hops: Vec<u16>,
     ) {
@@ -328,8 +333,8 @@ impl JoinNode {
             s,
             s_static,
             &constraints,
-            path,
-            hops,
+            &path,
+            &hops,
         );
     }
 
@@ -418,21 +423,21 @@ impl JoinNode {
         pos: usize,
     ) {
         match j_idx {
+            None if self.id == self.sh.base() => {
+                self.install_pair(ctx, pair, seq, path, hops, None, assumed);
+            }
             None => {
                 // Heading to the base.
                 let msg = Msg::Nominate {
                     pair,
                     seq,
-                    path: path.clone(),
-                    hops: hops.clone(),
+                    path,
+                    hops,
                     j_idx,
                     assumed,
                     pos,
                 };
-                if self.forward_tree_up(ctx, msg) {
-                    return;
-                }
-                self.install_pair(ctx, pair, seq, path, hops, None, assumed);
+                self.forward_tree_up(ctx, msg);
             }
             Some(j) => {
                 debug_assert_eq!(path.get(pos), Some(&self.id));

@@ -326,21 +326,21 @@ impl JoinNode {
         true
     }
 
-    /// Forward a path-routed message (`path[pos]` must be me); returns
-    /// `true` if forwarded, `false` if I am the terminus.
+    /// Forward a path-routed message (`path[pos]` must be me): `rebuild`
+    /// gets the path back with the next hop's position. Returns `true` if
+    /// forwarded, `false` if I am the terminus.
     pub(crate) fn forward_path(
         &self,
         ctx: &mut Ctx<'_, Msg>,
-        path: &[NodeId],
+        path: Vec<NodeId>,
         pos: usize,
-        rebuild: impl FnOnce(usize) -> Msg,
+        rebuild: impl FnOnce(Vec<NodeId>, usize) -> Msg,
     ) -> bool {
         debug_assert_eq!(path.get(pos), Some(&self.id), "path routing desync");
-        if pos + 1 >= path.len() {
+        let Some(&next) = path.get(pos + 1) else {
             return false;
-        }
-        let msg = rebuild(pos + 1);
-        self.send(ctx, path[pos + 1], msg);
+        };
+        self.send(ctx, next, rebuild(path, pos + 1));
         true
     }
 

@@ -138,13 +138,13 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::DeltaCost {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::DeltaCost {
             group,
             from: origin,
             members: members.clone(),
             delta,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.coord_absorb(ctx, group, origin, members, delta);
@@ -280,13 +280,13 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::GroupDecision {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::GroupDecision {
             group,
             coordinator,
             seq,
             innet,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.apply_group_decision(group, coordinator, seq, innet);
@@ -329,11 +329,11 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::CoordPing {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CoordPing {
             group,
             coordinator,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if forwarded {
             return;
@@ -524,12 +524,12 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::CollapseHint {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CollapseHint {
             owner,
             n1,
             n2,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded && owner == self.id {
             let link = (n1.min(n2), n1.max(n2));

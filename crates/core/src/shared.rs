@@ -7,8 +7,8 @@ use sensor_query::JoinQuerySpec;
 use sensor_routing::ght::GpsrRouter;
 use sensor_routing::MultiTreeSubstrate;
 use sensor_workload::WorkloadData;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// The join algorithm families of §2.2 / §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,9 +183,10 @@ pub fn parse_algo(s: &str) -> Option<(Algorithm, InnetOptions)> {
     })
 }
 
-/// Immutable run context shared across nodes (via `Arc`). The `dead` set
-/// is the one mutable element: the harness updates it on node failure and
-/// neighbors consult it as the outcome of local liveness probes (§7).
+/// Immutable run context shared across nodes (via `Arc`). The liveness
+/// oracle is the one mutable element: the harness marks nodes dead on
+/// failure and neighbors consult it as the outcome of local liveness
+/// probes (§7).
 pub struct Shared {
     pub topo: Topology,
     pub sub: Arc<MultiTreeSubstrate>,
@@ -193,7 +194,18 @@ pub struct Shared {
     pub spec: JoinQuerySpec,
     pub data: WorkloadData,
     pub cfg: AlgoConfig,
-    pub dead: Mutex<HashSet<NodeId>>,
+    /// Transmission cycles per sampling cycle — the engine's
+    /// `SimConfig::tx_per_sampling_cycle`, which dates a result's birth
+    /// for delay accounting.
+    pub tx_per_sampling_cycle: u32,
+    /// `spec.data_bytes()`, computed once: every send prices its message.
+    data_bytes: u32,
+    /// `spec.result_bytes()`, computed once.
+    result_bytes: u32,
+    /// One flag per node, set once the node is known dead. A flag
+    /// publishes no other data and is written only between engine steps,
+    /// so relaxed loads see every death.
+    dead: Vec<AtomicBool>,
 }
 
 impl Shared {
@@ -206,17 +218,25 @@ impl Shared {
         spec: JoinQuerySpec,
         data: &WorkloadData,
         cfg: AlgoConfig,
-        dead: HashSet<NodeId>,
+        dead: &[NodeId],
+        tx_per_sampling_cycle: u32,
     ) -> Shared {
-        Shared {
+        let sh = Shared {
             topo: topo.clone(),
             sub,
             gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(topo)),
+            data_bytes: spec.data_bytes(),
+            result_bytes: spec.result_bytes(),
             spec,
             data: data.clone(),
             cfg,
-            dead: Mutex::new(dead),
+            tx_per_sampling_cycle,
+            dead: (0..topo.len()).map(|_| AtomicBool::new(false)).collect(),
+        };
+        for &n in dead {
+            sh.mark_dead(n);
         }
+        sh
     }
 
     pub fn base(&self) -> NodeId {
@@ -224,20 +244,20 @@ impl Shared {
     }
 
     pub fn is_dead(&self, n: NodeId) -> bool {
-        self.dead.lock().unwrap().contains(&n)
+        self.dead[n.index()].load(Ordering::Relaxed)
     }
 
     pub fn mark_dead(&self, n: NodeId) {
-        self.dead.lock().unwrap().insert(n);
+        self.dead[n.index()].store(true, Ordering::Relaxed);
     }
 
     /// Data-tuple wire size for this query.
     pub fn data_bytes(&self) -> u32 {
-        self.spec.data_bytes()
+        self.data_bytes
     }
 
     pub fn result_bytes(&self) -> u32 {
-        self.spec.result_bytes()
+        self.result_bytes
     }
 
     /// Primary-tree path between two nodes (BestRoute-style id routing).
@@ -257,6 +277,33 @@ mod tests {
         assert_eq!(InnetOptions::CMG.suffix(), "Innet-cmg");
         assert_eq!(InnetOptions::CMPG.suffix(), "Innet-cmpg");
         assert_eq!(InnetOptions::PLAIN.with_learning().suffix(), "Innet learn");
+    }
+
+    /// The wire sizes `Shared` caches at construction are the spec's own,
+    /// for the paper's Query 1 and for the compiled edges of a join graph.
+    #[test]
+    fn cached_wire_sizes_match_the_spec() {
+        use sensor_workload::{query1, Rates, Schedule};
+        let topo = sensor_net::random_with_degree(30, 7.0, 1);
+        let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 1);
+        let sub = Arc::new(MultiTreeSubstrate::build(
+            &topo,
+            1,
+            crate::scenario::default_indexed_attrs(),
+            &data,
+        ));
+        let graph = sensor_query::parse_join_graph(
+            "SELECT a.id, c.x FROM a, b, c [windowsize=3 sampleinterval=100] \
+             WHERE a.id < 10 AND b.id >= 10 AND b.id < 20 AND c.id >= 20 \
+             AND a.u = b.u AND b.v = c.v",
+        )
+        .expect("graph parses");
+        let cfg = AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 1.0));
+        for spec in [query1(3), graph.edge_spec(0), graph.edge_spec(1)] {
+            let want = (spec.data_bytes(), spec.result_bytes());
+            let sh = Shared::new(&topo, sub.clone(), spec, &data, cfg, &[], 100);
+            assert_eq!((sh.data_bytes(), sh.result_bytes()), want);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use sensor_query::Tuple;
 use sensor_routing::MultiTreeSubstrate;
 use sensor_sim::{Engine, Protocol};
 use sensor_workload::{query0, WorkloadData};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Ladder topology (as in the repair unit tests): with range 1.5 the
@@ -60,7 +60,8 @@ fn build_run(topo: Topology, opts: InnetOptions) -> Net {
         query0(3),
         &data,
         cfg,
-        HashSet::new(),
+        &[],
+        SimConfig::lossless().tx_per_sampling_cycle,
     ));
     let sh = shared.clone();
     let engine = Engine::new(topo, SimConfig::lossless(), move |id| {

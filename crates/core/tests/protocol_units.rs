@@ -311,7 +311,8 @@ fn pair_sequence_numbers_keep_latest_assignment() {
         &data,
     ));
     let cfg = AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2));
-    let shared = Shared::new(&topo, sub, query0(3), &data, cfg, Default::default());
+    let period = SimConfig::default().tx_per_sampling_cycle;
+    let shared = Shared::new(&topo, sub, query0(3), &data, cfg, &[], period);
     let mut node = JoinNode::new(NodeId(1), Arc::new(shared));
     let pair = Pair::new(NodeId(1), NodeId(2));
     node.adopt_assign(pair, 5, vec![NodeId(1), NodeId(2)], Some(1));

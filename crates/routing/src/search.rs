@@ -56,33 +56,30 @@ pub struct SearchResult {
 /// the phase for each next hop. `from_child` must be set when the message
 /// arrived ascending from that child (so it is not re-explored).
 ///
+/// The `constraints` are a [`SearchQuery`]'s conjunction. Matching
+/// children come first, in child order, then the parent when ascending.
+///
 /// Invariant: `tree < sub.num_trees()` — tree ids come off the wire from
 /// messages this substrate itself originated, so an out-of-range id is a
 /// protocol bug and panics via the index rather than routing garbage.
-pub fn next_hops(
-    sub: &MultiTreeSubstrate,
+pub fn next_hops<'a>(
+    sub: &'a MultiTreeSubstrate,
     tree: usize,
     node: NodeId,
     descending: bool,
     from_child: Option<NodeId>,
-    query: &SearchQuery,
-) -> Vec<(NodeId, bool)> {
+    constraints: &'a [(AttrId, Constraint)],
+) -> impl Iterator<Item = (NodeId, bool)> + 'a {
     let t = sub.tree(tree);
-    let mut out = Vec::new();
-    for &c in t.children(node) {
-        if Some(c) == from_child {
-            continue;
-        }
-        if sub.child_may_match(tree, node, c, &query.constraints) {
-            out.push((c, true));
-        }
-    }
-    if !descending {
-        if let Some(p) = t.parent(node) {
-            out.push((p, false));
-        }
-    }
-    out
+    let down = t
+        .children(node)
+        .iter()
+        .copied()
+        .filter(move |&c| Some(c) != from_child)
+        .filter(move |&c| sub.child_may_match(tree, node, c, constraints))
+        .map(|c| (c, true));
+    let up = t.parent(node).filter(|_| !descending).map(|p| (p, false));
+    down.chain(up)
 }
 
 /// Exact match test at a visited node.
@@ -158,7 +155,7 @@ fn search_tree(
             item.node,
             item.descending,
             item.from_child,
-            query,
+            &query.constraints,
         ) {
             if descending {
                 if visited_desc[next.index()] {
